@@ -1,24 +1,27 @@
 //! Typed parsing for the engine's environment knobs.
 //!
-//! The execution layer reads five environment variables: `MPF_THREADS`
-//! (worker threads, [`crate::limits::default_threads`]), `MPF_DENSE`
-//! (dense-kernel dispatch, [`crate::DenseMode::from_env`]), `MPF_REPR`
-//! (sparse-tensor dispatch, [`crate::ReprMode::from_env`]), `MPF_KERNEL`
-//! (kernel inner-loop mode, [`crate::KernelMode::from_env`]), and
+//! The engine reads two environment variables, here and nowhere else:
+//! `MPF_THREADS` (worker threads, [`default_threads`]) and
 //! `MPF_CACHE_BYTES` (the engine view-cache byte budget,
-//! [`cache_bytes_from_env`]). The runtime
-//! defaults are deliberately lenient — a malformed value falls back so a
-//! hot query path never errors on configuration — but a *service* should
-//! refuse to start on a knob it cannot honor rather than silently run
-//! with different parallelism or kernels than the operator asked for.
+//! [`cache_bytes_from_env`]). Both are read and parsed once per process
+//! and cached, so building a context or a planner config on a hot query
+//! path costs no environment lookup and no `available_parallelism()`
+//! probe.
 //!
-//! [`validate_env`] is that strict startup check: it parses every knob
-//! and returns a typed [`ConfigError`] naming the variable, the rejected
-//! value, and what would have been accepted. `Database::from_env` and the
-//! `mpf_serve` binary call it before serving anything.
+//! Every read parses strictly. The runtime defaults then take the
+//! knob's default when its value does not parse, so a library user's hot
+//! path never errors on configuration; a *service* should instead refuse
+//! to start on a knob it cannot honor. [`validate_env`] is that startup
+//! check: it returns a typed [`ConfigError`] naming the variable, the
+//! rejected value, and what would have been accepted.
+//! `Database::from_env` and the `mpf_serve` binary call it before serving
+//! anything.
+//!
+//! Representation choice (rows, sparse, dense) is not an environment
+//! knob: it is cost-based by default and set only through the Rust API
+//! ([`crate::ReprMode`] on contexts, planner configs, and databases).
 
-use crate::dense::{DenseMode, KernelMode};
-use crate::sparse::ReprMode;
+use std::sync::OnceLock;
 
 /// A configuration knob held a value that does not parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,12 +51,6 @@ impl std::error::Error for ConfigError {}
 pub struct EnvKnobs {
     /// `MPF_THREADS`, when set and valid.
     pub threads: Option<usize>,
-    /// `MPF_DENSE`, when set and valid.
-    pub dense: Option<DenseMode>,
-    /// `MPF_REPR`, when set and valid.
-    pub repr: Option<ReprMode>,
-    /// `MPF_KERNEL`, when set and valid.
-    pub kernel: Option<KernelMode>,
     /// `MPF_CACHE_BYTES`, when set and valid (`0` disables the cache).
     pub cache_bytes: Option<u64>,
 }
@@ -66,49 +63,6 @@ pub fn parse_threads(value: &str) -> Result<usize, ConfigError> {
             var: "MPF_THREADS".into(),
             value: value.into(),
             expected: "a positive integer",
-        }),
-    }
-}
-
-/// Parse an `MPF_DENSE` value: `off`/`0`/`false`, `on`/`1`/`true`, or
-/// `auto`.
-pub fn parse_dense(value: &str) -> Result<DenseMode, ConfigError> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "false" => Ok(DenseMode::Off),
-        "on" | "1" | "true" => Ok(DenseMode::On),
-        "auto" => Ok(DenseMode::Auto),
-        _ => Err(ConfigError {
-            var: "MPF_DENSE".into(),
-            value: value.into(),
-            expected: "one of `off`, `on`, `auto` (or 0/1/false/true)",
-        }),
-    }
-}
-
-/// Parse an `MPF_REPR` value: `off`/`0`/`false`,
-/// `sparse`/`on`/`1`/`true`, or `auto`.
-pub fn parse_repr(value: &str) -> Result<ReprMode, ConfigError> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "false" => Ok(ReprMode::Off),
-        "sparse" | "on" | "1" | "true" => Ok(ReprMode::Sparse),
-        "auto" => Ok(ReprMode::Auto),
-        _ => Err(ConfigError {
-            var: "MPF_REPR".into(),
-            value: value.into(),
-            expected: "one of `off`, `sparse`, `auto` (or 0/1/false/true)",
-        }),
-    }
-}
-
-/// Parse an `MPF_KERNEL` value: `scalar` or `chunked`.
-pub fn parse_kernel(value: &str) -> Result<KernelMode, ConfigError> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "scalar" => Ok(KernelMode::Scalar),
-        "chunked" => Ok(KernelMode::Chunked),
-        _ => Err(ConfigError {
-            var: "MPF_KERNEL".into(),
-            value: value.into(),
-            expected: "one of `scalar`, `chunked`",
         }),
     }
 }
@@ -141,46 +95,66 @@ pub fn parse_cache_bytes(value: &str) -> Result<u64, ConfigError> {
         .ok_or_else(err)
 }
 
-/// Lenient `MPF_CACHE_BYTES` read for runtime defaults: unset or
-/// malformed means `0` (cache disabled) so a library user's hot path
-/// never errors on configuration. Services wanting strictness go
-/// through [`validate_env`].
-pub fn cache_bytes_from_env() -> u64 {
-    std::env::var("MPF_CACHE_BYTES")
+/// Each knob as strictly parsed from the environment: unset is
+/// `Ok(None)`, malformed is the typed error.
+#[derive(Debug)]
+struct Env {
+    threads: Result<Option<usize>, ConfigError>,
+    cache_bytes: Result<Option<u64>, ConfigError>,
+    /// The machine's available parallelism, probed once.
+    machine_threads: usize,
+}
+
+/// The process-wide environment read, done on first use.
+fn env() -> &'static Env {
+    static ENV: OnceLock<Env> = OnceLock::new();
+    ENV.get_or_init(|| {
+        fn read<T>(
+            var: &str,
+            parse: fn(&str) -> Result<T, ConfigError>,
+        ) -> Result<Option<T>, ConfigError> {
+            std::env::var(var).ok().map(|v| parse(&v)).transpose()
+        }
+        Env {
+            threads: read("MPF_THREADS", parse_threads),
+            cache_bytes: read("MPF_CACHE_BYTES", parse_cache_bytes),
+            machine_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        }
+    })
+}
+
+/// Worker threads used when [`crate::ExecLimits::threads`] is unset:
+/// `MPF_THREADS` when it parses, else the machine's available
+/// parallelism.
+pub fn default_threads() -> usize {
+    let env = env();
+    env.threads
+        .as_ref()
         .ok()
-        .and_then(|v| parse_cache_bytes(&v).ok())
+        .copied()
+        .flatten()
+        .unwrap_or(env.machine_threads)
+}
+
+/// The view-cache byte budget for runtime defaults: `MPF_CACHE_BYTES`
+/// when it parses, else `0` (cache disabled).
+pub fn cache_bytes_from_env() -> u64 {
+    env()
+        .cache_bytes
+        .as_ref()
+        .ok()
+        .copied()
+        .flatten()
         .unwrap_or(0)
 }
 
-/// Strictly parse every environment knob, rejecting malformed values
-/// instead of falling back. Unset variables are fine (`None`).
+/// Every environment knob, rejecting a malformed value instead of
+/// falling back. Unset variables are fine (`None`).
 pub fn validate_env() -> Result<EnvKnobs, ConfigError> {
-    let threads = match std::env::var("MPF_THREADS") {
-        Ok(v) => Some(parse_threads(&v)?),
-        Err(_) => None,
-    };
-    let dense = match std::env::var("MPF_DENSE") {
-        Ok(v) => Some(parse_dense(&v)?),
-        Err(_) => None,
-    };
-    let repr = match std::env::var("MPF_REPR") {
-        Ok(v) => Some(parse_repr(&v)?),
-        Err(_) => None,
-    };
-    let kernel = match std::env::var("MPF_KERNEL") {
-        Ok(v) => Some(parse_kernel(&v)?),
-        Err(_) => None,
-    };
-    let cache_bytes = match std::env::var("MPF_CACHE_BYTES") {
-        Ok(v) => Some(parse_cache_bytes(&v)?),
-        Err(_) => None,
-    };
+    let env = env();
     Ok(EnvKnobs {
-        threads,
-        dense,
-        repr,
-        kernel,
-        cache_bytes,
+        threads: env.threads.clone()?,
+        cache_bytes: env.cache_bytes.clone()?,
     })
 }
 
@@ -205,35 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_accepts_documented_spellings() {
-        assert_eq!(parse_dense("off").unwrap(), DenseMode::Off);
-        assert_eq!(parse_dense("0").unwrap(), DenseMode::Off);
-        assert_eq!(parse_dense("FALSE").unwrap(), DenseMode::Off);
-        assert_eq!(parse_dense("on").unwrap(), DenseMode::On);
-        assert_eq!(parse_dense("1").unwrap(), DenseMode::On);
-        assert_eq!(parse_dense(" auto ").unwrap(), DenseMode::Auto);
-    }
-
-    #[test]
-    fn dense_rejects_malformed_values() {
-        for bad in ["dense", "2", "", "yes please"] {
-            let e = parse_dense(bad).unwrap_err();
-            assert_eq!(e.var, "MPF_DENSE");
-            assert_eq!(e.value, bad);
-            assert!(e.to_string().contains("`auto`"), "{e}");
-        }
-    }
-
-    #[test]
-    fn repr_accepts_documented_spellings() {
-        assert_eq!(parse_repr("off").unwrap(), ReprMode::Off);
-        assert_eq!(parse_repr("0").unwrap(), ReprMode::Off);
-        assert_eq!(parse_repr("sparse").unwrap(), ReprMode::Sparse);
-        assert_eq!(parse_repr("ON").unwrap(), ReprMode::Sparse);
-        assert_eq!(parse_repr(" auto ").unwrap(), ReprMode::Auto);
-    }
-
-    #[test]
     fn cache_bytes_accepts_counts_and_suffixes() {
         assert_eq!(parse_cache_bytes("0").unwrap(), 0);
         assert_eq!(parse_cache_bytes(" 4096 ").unwrap(), 4096);
@@ -254,30 +199,4 @@ mod tests {
         assert!(parse_cache_bytes("18446744073709551615k").is_err());
     }
 
-    #[test]
-    fn kernel_accepts_documented_spellings() {
-        assert_eq!(parse_kernel("scalar").unwrap(), KernelMode::Scalar);
-        assert_eq!(parse_kernel(" Chunked ").unwrap(), KernelMode::Chunked);
-        assert_eq!(parse_kernel("SCALAR").unwrap(), KernelMode::Scalar);
-    }
-
-    #[test]
-    fn kernel_rejects_malformed_values() {
-        for bad in ["simd", "1", "", "on", "vector"] {
-            let e = parse_kernel(bad).unwrap_err();
-            assert_eq!(e.var, "MPF_KERNEL");
-            assert_eq!(e.value, bad);
-            assert!(e.to_string().contains("`chunked`"), "{e}");
-        }
-    }
-
-    #[test]
-    fn repr_rejects_malformed_values() {
-        for bad in ["csr", "2", "", "dense"] {
-            let e = parse_repr(bad).unwrap_err();
-            assert_eq!(e.var, "MPF_REPR");
-            assert_eq!(e.value, bad);
-            assert!(e.to_string().contains("`sparse`"), "{e}");
-        }
-    }
 }

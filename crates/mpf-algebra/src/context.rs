@@ -40,7 +40,6 @@ use std::sync::{Arc, Mutex};
 use mpf_semiring::SemiringKind;
 use mpf_storage::FunctionalRelation;
 
-use crate::dense::{DenseMode, KernelMode};
 use crate::limits::{ExecBudget, ExecLimits, OpGuard, DEFAULT_WORKSPACE_BYTES};
 use crate::sparse::ReprMode;
 use crate::trace::{OpRepr, SpanDesc, SpanKind, TraceCollector, TraceLevel, TraceTree};
@@ -81,18 +80,10 @@ pub struct ExecContext<'b> {
     /// Per-operator span collector ([`TraceLevel::Off`] by default:
     /// every trace hook is a single branch, no allocation).
     trace: TraceCollector,
-    /// Whether [`crate::dense`] kernels may be dispatched to
-    /// ([`DenseMode::from_env`] by default; planner configs and tests set
-    /// it explicitly so runs are environment-independent).
-    dense: DenseMode,
-    /// Whether [`crate::sparse`] tensor kernels may be dispatched to
-    /// ([`ReprMode::from_env`] by default; planner configs and tests set
-    /// it explicitly so runs are environment-independent).
+    /// Which representations ([`crate::dense`], [`crate::sparse`], rows)
+    /// the auto-dispatching operators may run on ([`ReprMode::Auto`]
+    /// unless the caller pins one).
     repr: ReprMode,
-    /// Which inner-loop flavor the monomorphized kernels run
-    /// ([`KernelMode::from_env`] by default; tests set it explicitly so
-    /// runs are environment-independent).
-    kernel: KernelMode,
 }
 
 impl<'b> ExecContext<'b> {
@@ -107,19 +98,17 @@ impl<'b> ExecContext<'b> {
             workspace_bytes,
             fork_tokens: Arc::new(AtomicIsize::new(threads as isize - 1)),
             trace: TraceCollector::new(TraceLevel::Off),
-            dense: DenseMode::from_env(),
-            repr: ReprMode::from_env(),
-            kernel: KernelMode::from_env(),
+            repr: ReprMode::Auto,
         }
     }
 
     /// An unlimited context: no budget, fresh stats, environment-default
-    /// parallelism ([`crate::limits::default_threads`]).
+    /// parallelism ([`crate::config::default_threads`]).
     pub fn new(semiring: SemiringKind) -> ExecContext<'static> {
         ExecContext::build(
             semiring,
             BudgetSlot::None,
-            crate::limits::default_threads(),
+            crate::config::default_threads(),
             DEFAULT_WORKSPACE_BYTES,
         )
     }
@@ -155,7 +144,7 @@ impl<'b> ExecContext<'b> {
                 b.limits().effective_threads(),
                 b.limits().effective_workspace_bytes(),
             ),
-            None => (crate::limits::default_threads(), DEFAULT_WORKSPACE_BYTES),
+            None => (crate::config::default_threads(), DEFAULT_WORKSPACE_BYTES),
         };
         ExecContext::build(
             semiring,
@@ -181,55 +170,17 @@ impl<'b> ExecContext<'b> {
         self.fork_tokens = Arc::new(AtomicIsize::new(self.threads as isize - 1));
     }
 
-    /// Override the dense-kernel dispatch mode (builder style).
-    pub fn with_dense(mut self, mode: DenseMode) -> ExecContext<'b> {
-        self.dense = mode;
-        self
-    }
-
-    /// Override the dense-kernel dispatch mode.
-    pub fn set_dense(&mut self, mode: DenseMode) {
-        self.dense = mode;
-    }
-
-    /// The dense-kernel dispatch mode ([`crate::dense::join_auto`] and
-    /// [`crate::dense::agg_auto`] consult this).
-    pub fn dense_mode(&self) -> DenseMode {
-        self.dense
-    }
-
-    /// Override the sparse-tensor dispatch mode (builder style).
+    /// Override the representation mode (builder style).
     pub fn with_repr(mut self, mode: ReprMode) -> ExecContext<'b> {
         self.repr = mode;
         self
     }
 
-    /// Override the sparse-tensor dispatch mode.
-    pub fn set_repr(&mut self, mode: ReprMode) {
-        self.repr = mode;
-    }
-
-    /// The sparse-tensor dispatch mode ([`crate::sparse::join_auto`] and
-    /// [`crate::sparse::agg_auto`] consult this).
+    /// The representation mode ([`crate::sparse::join_auto`],
+    /// [`crate::sparse::agg_auto`], and [`crate::dense::join_agg_auto`]
+    /// consult this).
     pub fn repr_mode(&self) -> ReprMode {
         self.repr
-    }
-
-    /// Override the kernel inner-loop mode (builder style).
-    pub fn with_kernel(mut self, mode: KernelMode) -> ExecContext<'b> {
-        self.kernel = mode;
-        self
-    }
-
-    /// Override the kernel inner-loop mode.
-    pub fn set_kernel(&mut self, mode: KernelMode) {
-        self.kernel = mode;
-    }
-
-    /// The kernel inner-loop mode (the [`crate::dense`] and
-    /// [`crate::sparse`] kernels consult this).
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel
     }
 
     /// Enable per-operator tracing (builder style).
@@ -335,9 +286,7 @@ impl<'b> ExecContext<'b> {
             workspace_bytes: self.workspace_bytes,
             fork_tokens: Arc::clone(&self.fork_tokens),
             trace: TraceCollector::new(self.trace.level()),
-            dense: self.dense,
             repr: self.repr,
-            kernel: self.kernel,
         }
     }
 
@@ -546,15 +495,9 @@ impl<'b> ExecContext<'b> {
         self.stats.sparse_converts += 1;
     }
 
-    /// Count one kernel dispatch by inner-loop mode and tag the active
-    /// span with `kernel=`. Call *after* the operator's `record_*` hook
-    /// so an ad-hoc leaf span exists to tag.
-    pub(crate) fn note_kernel_op(&mut self, mode: KernelMode) {
-        match mode {
-            KernelMode::Scalar => self.stats.kernel_scalar_ops += 1,
-            KernelMode::Chunked => self.stats.kernel_chunked_ops += 1,
-        }
-        self.trace.set_kernel(mode.name());
+    /// Count one dispatch of a chunked monomorphized kernel.
+    pub(crate) fn note_kernel_op(&mut self) {
+        self.stats.kernel_chunked_ops += 1;
     }
 
     /// [`ExecContext::record_join_ex`]/[`ExecContext::record_group_by_ex`]

@@ -42,29 +42,24 @@
 //! array and errors surface in chunk order, so answers, budget trips, and
 //! error precedence match the sequential kernel exactly.
 //!
-//! # Kernel modes
+//! # Kernel shape
 //!
 //! Every kernel here is generic over a statically-known semiring
 //! ([`mpf_semiring::kernel::SemiringOps`], instantiated for all seven
 //! through [`mpf_semiring::for_each_semiring`]), so the inner loops are
-//! straight-line per-semiring code with no dispatch branch per cell. On
-//! top of that, [`KernelMode`] (the `MPF_KERNEL` knob) picks the loop
-//! shape:
-//!
-//! * [`KernelMode::Scalar`] — one cell at a time, budget guard polled
-//!   per cell: the reference shape.
-//! * [`KernelMode::Chunked`] (default) — contiguous runs processed in
-//!   blocks: elementwise loops (join) write whole runs with one budget
-//!   charge per [`KERNEL_BLOCK`] cells, and marginalization folds
-//!   contiguous runs through [`mpf_semiring::kernel::LANES`]-wide
-//!   accumulators with the fixed reduction tree of
-//!   [`mpf_semiring::kernel::reduce_lanes`]. The chunked fold shape is a
-//!   pure function of the run length — never of thread count or chunk
-//!   scheduling — so chunked results are bit-identical at any
-//!   `MPF_THREADS`. Across *modes*, join cells are identical bit for
-//!   bit (elementwise either way); marginalization agrees exactly for
-//!   the association-insensitive min/max-family semirings and within
-//!   floating-point tolerance for `SumProduct`/`LogSumProduct`.
+//! straight-line per-semiring code with no dispatch branch per cell.
+//! The loops are chunked: elementwise loops (join) write whole runs with
+//! one budget charge per [`KERNEL_BLOCK`] cells, and marginalization
+//! folds contiguous runs through [`mpf_semiring::kernel::LANES`]-wide
+//! accumulators with the fixed reduction tree of
+//! [`mpf_semiring::kernel::reduce_lanes`]. The fold shape is a pure
+//! function of the run length — never of thread count or chunk
+//! scheduling — so results are bit-identical at any thread count.
+//! Against the one-cell-at-a-time scalar reference kept in this module's
+//! tests, join cells are identical bit for bit (elementwise either way);
+//! marginalization agrees exactly for the association-insensitive
+//! min/max-family semirings and within floating-point tolerance for
+//! `SumProduct`/`LogSumProduct`.
 //!
 //! # Fused join→marginalize
 //!
@@ -73,9 +68,8 @@
 //! without materializing the intermediate join factor: each output cell
 //! folds `mul(a, b)` over its eliminated subgrid in the exact order the
 //! unfused join-then-agg pipeline would, so the fused result is
-//! bit-identical to the unfused dense pipeline under the same kernel
-//! mode, while peak memory drops from the union grid to the output
-//! grid.
+//! bit-identical to the unfused dense pipeline, while peak memory drops
+//! from the union grid to the output grid.
 
 use mpf_semiring::kernel::{fold_run, reduce_lanes, SemiringOps, LANES};
 use mpf_semiring::for_each_semiring;
@@ -83,7 +77,7 @@ use mpf_storage::dense::{grid_cells, is_odometer_ordered, strides_of};
 use mpf_storage::{DenseFactor, FunctionalRelation, Schema, VarId};
 
 use crate::limits::{ExecBudget, OpGuard};
-use crate::{ops, AlgebraError, ExecContext, Result};
+use crate::{ops, AlgebraError, ExecContext, ReprMode, Result};
 
 /// Minimum output cells before the dense kernels fan out to worker
 /// threads; below this the spawn cost dominates.
@@ -92,8 +86,7 @@ pub const PARALLEL_MIN_CELLS: usize = 1 << 15;
 /// Cells per budget charge in the chunked elementwise kernels: large
 /// enough that guard traffic vanishes from the profile, small enough
 /// that a budget trip still stops an exploding operator within a few
-/// thousand cells of its cap (the scalar kernels trip within
-/// [`crate::limits::TICK_INTERVAL`]).
+/// thousand cells of its cap.
 pub(crate) const KERNEL_BLOCK: usize = 4096;
 
 /// Inputs at least this large switch to the cache-blocked kernel
@@ -109,79 +102,6 @@ const TILE: u64 = 64;
 /// Minimum stride along the output's inner axis before blocking pays;
 /// short strides stay within a cache line or two per step.
 const TILE_MIN_STRIDE: usize = 64;
-
-/// Whether the dense fast path may be used, resolved per context
-/// (planner configs and tests set it explicitly; [`DenseMode::from_env`]
-/// is the default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DenseMode {
-    /// Never use the dense kernels.
-    Off,
-    /// Plan dense whenever the grids are feasible, skipping the planner's
-    /// estimated-density heuristic. The kernels still verify
-    /// support-exactness at runtime and fall back to the hash operators
-    /// otherwise.
-    On,
-    /// Plan dense when the estimated density clears the planner's
-    /// threshold and the grids are feasible — the cost-based default.
-    #[default]
-    Auto,
-}
-
-impl DenseMode {
-    /// Resolve from the `MPF_DENSE` environment variable: `off`/`0`,
-    /// `on`/`1`, or `auto`; unset or unrecognized means [`DenseMode::Auto`].
-    pub fn from_env() -> DenseMode {
-        match std::env::var("MPF_DENSE") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "off" | "0" | "false" => DenseMode::Off,
-                "on" | "1" | "true" => DenseMode::On,
-                _ => DenseMode::Auto,
-            },
-            Err(_) => DenseMode::Auto,
-        }
-    }
-}
-
-/// Which loop shape the dense (and aligned-coordinate sparse) kernels
-/// run, resolved per context (planner configs and tests set it
-/// explicitly; [`KernelMode::from_env`] is the default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// One cell at a time, budget guard polled per cell — the reference
-    /// shape, kept for parity testing and bisection.
-    Scalar,
-    /// Fixed-width lane chunking with block-granular budget charges —
-    /// the autovectorizing default. Deterministic reduction shape: see
-    /// the module docs.
-    #[default]
-    Chunked,
-}
-
-impl KernelMode {
-    /// Resolve from the `MPF_KERNEL` environment variable: `scalar` or
-    /// `chunked`; unset or unrecognized means [`KernelMode::Chunked`].
-    /// (Strict validation — reject rather than default — lives in
-    /// [`crate::config::validate_env`]; operators stay lenient so a
-    /// typo costs the fast shape, never a query.)
-    pub fn from_env() -> KernelMode {
-        match std::env::var("MPF_KERNEL") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "scalar" => KernelMode::Scalar,
-                _ => KernelMode::Chunked,
-            },
-            Err(_) => KernelMode::Chunked,
-        }
-    }
-
-    /// The knob spelling, for trace spans and metrics.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelMode::Scalar => "scalar",
-            KernelMode::Chunked => "chunked",
-        }
-    }
-}
 
 /// The O(1) grid hint: for a relation whose rows are the odometer
 /// sequence of some grid — every dense-kernel product, and everything
@@ -261,15 +181,16 @@ pub fn agg_support_exact(input: &FunctionalRelation) -> bool {
 }
 
 /// Whether [`join`] would take the dense path for these inputs under
-/// `mode`. `On` and `Auto` agree at runtime — support-exactness is a hard
-/// precondition of the kernels — and differ only in how eagerly the
-/// *planner* annotates operators from its estimates.
+/// `mode`. [`ReprMode::Dense`] and [`ReprMode::Auto`] agree at runtime —
+/// support-exactness is a hard precondition of the kernels — and differ
+/// only in how eagerly the *planner* annotates operators from its
+/// estimates.
 pub fn dense_join_applies(
-    mode: DenseMode,
+    mode: ReprMode,
     l: &FunctionalRelation,
     r: &FunctionalRelation,
 ) -> bool {
-    if mode == DenseMode::Off {
+    if !mode.allows_dense() {
         return false;
     }
     let (Some(ld), Some(rd)) = (ordered_grid_hint(l), ordered_grid_hint(r)) else {
@@ -283,41 +204,8 @@ pub fn dense_join_applies(
 }
 
 /// Whether [`agg`] would take the dense path for this input under `mode`.
-pub fn dense_agg_applies(mode: DenseMode, input: &FunctionalRelation) -> bool {
-    match mode {
-        DenseMode::Off => false,
-        DenseMode::On | DenseMode::Auto => agg_support_exact(input),
-    }
-}
-
-/// [`ops::product_join`] dispatched through the context's [`DenseMode`]:
-/// the dense kernel when it applies, else the sparse hash join. This is
-/// the entry point for callers outside the planner (the inference layer),
-/// whose operator calls never pass through `choose_physical`.
-pub fn join_auto(
-    cx: &mut ExecContext<'_>,
-    l: &FunctionalRelation,
-    r: &FunctionalRelation,
-) -> Result<FunctionalRelation> {
-    // [`join`] gates on support-exactness and feasibility itself, so only
-    // the mode is decided here — checking `dense_join_applies` first
-    // would scan both inputs twice.
-    match cx.dense_mode() {
-        DenseMode::Off => ops::product_join(cx, l, r),
-        DenseMode::On | DenseMode::Auto => join(cx, l, r),
-    }
-}
-
-/// [`ops::group_by`] dispatched through the context's [`DenseMode`].
-pub fn agg_auto(
-    cx: &mut ExecContext<'_>,
-    input: &FunctionalRelation,
-    group_vars: &[VarId],
-) -> Result<FunctionalRelation> {
-    match cx.dense_mode() {
-        DenseMode::Off => ops::group_by(cx, input, group_vars),
-        DenseMode::On | DenseMode::Auto => agg(cx, input, group_vars),
-    }
+pub fn dense_agg_applies(mode: ReprMode, input: &FunctionalRelation) -> bool {
+    mode.allows_dense() && agg_support_exact(input)
 }
 
 /// Densify `rel` onto `domains`, filling absent cells with the semiring's
@@ -404,7 +292,7 @@ pub fn join(
         Some(out) => {
             let rel = from_dense(cx, out)?;
             cx.record_join_ex(&[l, r], &rel, crate::trace::OpRepr::Dense);
-            cx.note_kernel_op(cx.kernel_mode());
+            cx.note_kernel_op();
             Ok(rel)
         }
         None => ops::product_join(cx, l, r),
@@ -433,7 +321,7 @@ pub fn agg(
         Some(out) => {
             let rel = from_dense(cx, out)?;
             cx.record_group_by_ex(&[input], &rel, crate::trace::OpRepr::Dense);
-            cx.note_kernel_op(cx.kernel_mode());
+            cx.note_kernel_op();
             Ok(rel)
         }
         None => ops::group_by(cx, input, group_vars),
@@ -445,7 +333,7 @@ pub fn agg(
 /// the intermediate join factor. Each output cell folds
 /// `mul(a, b)` over its eliminated subgrid in join-grid odometer order
 /// — exactly the order the unfused dense join-then-agg pipeline folds
-/// it under the same [`KernelMode`] — so the result is bit-identical to
+/// it — so the result is bit-identical to
 /// the unfused dense pipeline, while peak memory drops from the union
 /// grid to the output grid. Falls back to the fused hash operator
 /// ([`ops::join_group_by`], itself row- and bit-identical to hash
@@ -473,26 +361,27 @@ pub fn join_agg(
         Some(out) => {
             let rel = from_dense(cx, out)?;
             cx.record_join_agg_ex(&[l, r], &rel, crate::trace::OpRepr::Dense);
-            cx.note_kernel_op(cx.kernel_mode());
+            cx.note_kernel_op();
             Ok(rel)
         }
         None => ops::join_group_by(cx, l, r, group_vars),
     }
 }
 
-/// [`join_agg`] dispatched through the context's [`DenseMode`]: the
-/// fused dense kernel when it applies, else the fused hash operator.
-/// This is the interpreter's entry point for the planner's `JoinAgg`
-/// nodes.
+/// [`join_agg`] dispatched through the context's [`ReprMode`]: the
+/// fused dense kernel when dense is allowed (it falls back itself when
+/// the inputs do not densify), else the fused hash operator. This is the
+/// interpreter's entry point for the planner's `JoinAgg` nodes.
 pub fn join_agg_auto(
     cx: &mut ExecContext<'_>,
     l: &FunctionalRelation,
     r: &FunctionalRelation,
     group_vars: &[VarId],
 ) -> Result<FunctionalRelation> {
-    match cx.dense_mode() {
-        DenseMode::Off => ops::join_group_by(cx, l, r, group_vars),
-        DenseMode::On | DenseMode::Auto => join_agg(cx, l, r, group_vars),
+    if cx.repr_mode().allows_dense() {
+        join_agg(cx, l, r, group_vars)
+    } else {
+        ops::join_group_by(cx, l, r, group_vars)
     }
 }
 
@@ -567,7 +456,6 @@ fn join_agg_impl(
     let out_strides = out.strides().to_vec();
 
     let sr = cx.semiring();
-    let mode = cx.kernel_mode();
     let arity = out_schema.arity();
     let threads = cx.threads();
     let budget = cx.budget();
@@ -587,7 +475,7 @@ fn join_agg_impl(
     if workers <= 1 {
         for_each_semiring!(sr, join_agg_cells(
             a.values, b.values, &gdims, &out_strides, &edims, 0, out.values_mut(),
-            budget, arity, mode, lane_ok,
+            budget, arity, lane_ok,
         ))?;
     } else {
         // Chunk along output axis 0, as the unfused kernels do: each
@@ -608,7 +496,7 @@ fn join_agg_impl(
                     scope.spawn(move || {
                         for_each_semiring!(sr, join_agg_cells(
                             av, bv, gdims, out_strides, edims, i * chunk, slice, budget,
-                            arity, mode, lane_ok,
+                            arity, lane_ok,
                         ))
                     })
                 })
@@ -639,7 +527,7 @@ fn join_agg_impl(
 /// layouts whose unfused counterpart would lane-fold (contiguous
 /// innermost eliminated runs); [`fold_products`] then reproduces
 /// [`fold_run`]'s exact shape over the same value sequence, keeping
-/// fused and unfused results bit-identical in both kernel modes.
+/// fused and unfused results bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn join_agg_cells<S: SemiringOps>(
     av: &[f64],
@@ -651,7 +539,6 @@ fn join_agg_cells<S: SemiringOps>(
     out: &mut [f64],
     budget: Option<&ExecBudget>,
     arity: usize,
-    mode: KernelMode,
     lane_ok: bool,
 ) -> Result<()> {
     let mut guard = OpGuard::new(budget, arity);
@@ -675,7 +562,7 @@ fn join_agg_cells<S: SemiringOps>(
     };
     let eruns = ecells.checked_div(delast).unwrap_or(0);
     let mut ecoords = vec![0u64; ek.saturating_sub(1)];
-    let lane = mode == KernelMode::Chunked && lane_ok && ek > 0;
+    let lane = lane_ok && ek > 0;
     for slot in out.iter_mut() {
         guard.poll()?;
         let mut acc = if lane {
@@ -899,7 +786,6 @@ fn join_impl(
     let out_strides = out.strides().to_vec();
 
     let sr = cx.semiring();
-    let mode = cx.kernel_mode();
     let arity = out_schema.arity();
     let threads = cx.threads();
     let budget = cx.budget();
@@ -910,11 +796,11 @@ fn join_impl(
         match tiled {
             Some((x, y)) => for_each_semiring!(sr, join_cells_tiled(
                 a.values, b.values, &dims, &out_strides, x, y,
-                0, dims[0].dom, out.values_mut(), budget, arity, mode,
+                0, dims[0].dom, out.values_mut(), budget, arity,
             ))?,
             None => for_each_semiring!(sr, join_cells(
                 a.values, b.values, &dims, &out_strides, 0,
-                out.values_mut(), budget, arity, mode,
+                out.values_mut(), budget, arity,
             ))?,
         }
     } else if let Some((x, y)) = tiled {
@@ -937,7 +823,6 @@ fn join_impl(
                     scope.spawn(move || {
                         for_each_semiring!(sr, join_cells_tiled(
                             av, bv, dims, out_strides, x, y, lo0, hi0, slice, budget, arity,
-                            mode,
                         ))
                     })
                 })
@@ -970,7 +855,7 @@ fn join_impl(
                     let (av, bv) = (a.values, b.values);
                     scope.spawn(move || {
                         for_each_semiring!(sr, join_cells(
-                            av, bv, dims, out_strides, i * chunk, slice, budget, arity, mode,
+                            av, bv, dims, out_strides, i * chunk, slice, budget, arity,
                         ))
                     })
                 })
@@ -1030,9 +915,8 @@ fn tile_axes(dims: &[JoinDim], a_len: usize, b_len: usize) -> Option<(usize, usi
 /// are iterated in [`TILE`]×[`TILE`] tiles; the remaining axes run as an
 /// outer odometer. Every cell computes the same value as the flat kernel
 /// — only the visit order changes, which the budget (a count) and the
-/// output (one write per cell) cannot observe. Chunked mode writes each
-/// tile row as one run ([`write_products`]) with a single budget charge;
-/// the cell values are identical either way.
+/// output (one write per cell) cannot observe. Each tile row is written
+/// as one run ([`write_products`]) with a single budget charge.
 #[allow(clippy::too_many_arguments)]
 fn join_cells_tiled<S: SemiringOps>(
     av: &[f64],
@@ -1046,7 +930,6 @@ fn join_cells_tiled<S: SemiringOps>(
     out: &mut [f64],
     budget: Option<&ExecBudget>,
     arity: usize,
-    mode: KernelMode,
 ) -> Result<()> {
     let mut guard = OpGuard::new(budget, arity);
     let k = dims.len();
@@ -1080,27 +963,15 @@ fn join_cells_tiled<S: SemiringOps>(
                     let rb = mb + yl as usize * sby + x0 as usize * sbx;
                     let ro = mo + yl as usize * soy + x0 as usize * sox - box_base;
                     let n = (xend - x0) as usize;
-                    match mode {
-                        KernelMode::Scalar => {
-                            for xi in 0..n {
-                                guard.poll()?;
-                                out[ro + xi * sox] = S::mul(av[ra + xi * sax], bv[rb + xi * sbx]);
-                                guard.produced()?;
-                            }
-                        }
-                        KernelMode::Chunked => {
-                            guard.poll()?;
-                            if sox == 1 {
-                                write_products::<S>(av, ra, sax, bv, rb, sbx, &mut out[ro..ro + n]);
-                            } else {
-                                for xi in 0..n {
-                                    out[ro + xi * sox] =
-                                        S::mul(av[ra + xi * sax], bv[rb + xi * sbx]);
-                                }
-                            }
-                            guard.produced_many(n as u64)?;
+                    guard.poll()?;
+                    if sox == 1 {
+                        write_products::<S>(av, ra, sax, bv, rb, sbx, &mut out[ro..ro + n]);
+                    } else {
+                        for xi in 0..n {
+                            out[ro + xi * sox] = S::mul(av[ra + xi * sax], bv[rb + xi * sbx]);
                         }
                     }
+                    guard.produced_many(n as u64)?;
                 }
                 x0 = xend;
             }
@@ -1129,9 +1000,9 @@ fn join_cells_tiled<S: SemiringOps>(
 /// Join kernel over one contiguous output-cell range: an incremental
 /// odometer advances both input offsets per cell (no division in the
 /// loop); `start` seeds the coordinates for chunked parallel runs.
-/// Chunked mode writes each innermost run in [`KERNEL_BLOCK`]-cell
-/// blocks through [`write_products`]; the cell values are identical to
-/// the scalar shape (the join is elementwise — there is nothing to
+/// Each innermost run is written in [`KERNEL_BLOCK`]-cell blocks through
+/// [`write_products`]; the cell values are identical to a one-cell-at-a-
+/// time loop (the join is elementwise — there is nothing to
 /// reassociate).
 #[allow(clippy::too_many_arguments)]
 fn join_cells<S: SemiringOps>(
@@ -1143,7 +1014,6 @@ fn join_cells<S: SemiringOps>(
     out: &mut [f64],
     budget: Option<&ExecBudget>,
     arity: usize,
-    mode: KernelMode,
 ) -> Result<()> {
     let mut guard = OpGuard::new(budget, arity);
     let k = dims.len();
@@ -1172,28 +1042,23 @@ fn join_cells<S: SemiringOps>(
     let mut idx = 0usize;
     while idx < out.len() {
         let run = ((dlast - coords[k - 1]) as usize).min(out.len() - idx);
-        match mode {
-            KernelMode::Scalar => {
-                for slot in &mut out[idx..idx + run] {
-                    guard.poll()?;
-                    *slot = S::mul(av[ai], bv[bi]);
-                    guard.produced()?;
-                    ai += sal;
-                    bi += sbl;
-                }
-            }
-            KernelMode::Chunked => {
-                let mut done = 0usize;
-                while done < run {
-                    let n = (run - done).min(KERNEL_BLOCK);
-                    guard.poll()?;
-                    write_products::<S>(av, ai, sal, bv, bi, sbl, &mut out[idx + done..idx + done + n]);
-                    ai += sal * n;
-                    bi += sbl * n;
-                    guard.produced_many(n as u64)?;
-                    done += n;
-                }
-            }
+        let mut done = 0usize;
+        while done < run {
+            let n = (run - done).min(KERNEL_BLOCK);
+            guard.poll()?;
+            write_products::<S>(
+                av,
+                ai,
+                sal,
+                bv,
+                bi,
+                sbl,
+                &mut out[idx + done..idx + done + n],
+            );
+            ai += sal * n;
+            bi += sbl * n;
+            guard.produced_many(n as u64)?;
+            done += n;
         }
         idx += run;
         coords[k - 1] += run as u64;
@@ -1261,7 +1126,6 @@ fn agg_impl(
     let out_strides = out.strides().to_vec();
 
     let sr = cx.semiring();
-    let mode = cx.kernel_mode();
     let arity = out_schema.arity();
     let threads = cx.threads();
     let budget = cx.budget();
@@ -1281,11 +1145,11 @@ fn agg_impl(
     if workers <= 1 {
         if input_major {
             for_each_semiring!(sr, agg_cells_input_major(
-                a.values, &gdims, &edims, 0, gdims[0].0, out.values_mut(), budget, arity, mode,
+                a.values, &gdims, &edims, 0, gdims[0].0, out.values_mut(), budget, arity,
             ))?;
         } else {
             for_each_semiring!(sr, agg_cells(
-                a.values, &gdims, &out_strides, &edims, 0, out.values_mut(), budget, arity, mode,
+                a.values, &gdims, &out_strides, &edims, 0, out.values_mut(), budget, arity,
             ))?;
         }
     } else if input_major {
@@ -1308,7 +1172,7 @@ fn agg_impl(
                     let hi0 = (lo0 + chunk_rows).min(gdims[0].0);
                     scope.spawn(move || {
                         for_each_semiring!(sr, agg_cells_input_major(
-                            av, gdims, edims, lo0, hi0, slice, budget, arity, mode,
+                            av, gdims, edims, lo0, hi0, slice, budget, arity,
                         ))
                     })
                 })
@@ -1341,7 +1205,7 @@ fn agg_impl(
                     let av = a.values;
                     scope.spawn(move || {
                         for_each_semiring!(sr, agg_cells(
-                            av, gdims, out_strides, edims, i * chunk, slice, budget, arity, mode,
+                            av, gdims, out_strides, edims, i * chunk, slice, budget, arity,
                         ))
                     })
                 })
@@ -1369,11 +1233,10 @@ fn agg_impl(
 /// Input-major aggregation kernel over the box where output axis 0
 /// ranges in `[lo0, hi0)`: one pass over the group grid per eliminated
 /// combination, in ascending eliminated-odometer order. Every output
-/// cell therefore receives exactly the values the per-cell fold of
-/// [`agg_cells`]'s scalar shape would give it, in the same order —
-/// bit-identical in *both* kernel modes (the passes are elementwise, so
-/// chunking changes the loop structure, never the per-cell add order) —
-/// but both arrays are walked along the input's short strides.
+/// cell therefore receives exactly the values a sequential per-cell fold
+/// would give it, in the same order (the passes are elementwise, so the
+/// run chunking changes the loop structure, never the per-cell add
+/// order) — but both arrays are walked along the input's short strides.
 /// Validation and budget charges happen once per output cell at the
 /// end, like the per-cell kernel's.
 #[allow(clippy::too_many_arguments)]
@@ -1386,7 +1249,6 @@ fn agg_cells_input_major<S: SemiringOps>(
     out: &mut [f64],
     budget: Option<&ExecBudget>,
     arity: usize,
-    mode: KernelMode,
 ) -> Result<()> {
     let mut guard = OpGuard::new(budget, arity);
     let k = gdims.len();
@@ -1410,71 +1272,49 @@ fn agg_cells_input_major<S: SemiringOps>(
             }
         }
         // The group odometer walks the box in output order (so `out` is
-        // written sequentially) and wraps back to the box origin.
-        match mode {
-            KernelMode::Scalar => {
-                for slot in out.iter_mut() {
-                    guard.poll()?;
-                    let v = av[eoff + goff];
-                    *slot = if pass == 0 { v } else { S::add(*slot, v) };
-                    for j in (0..k).rev() {
-                        gcoords[j] += 1;
-                        goff += gdims[j].1;
-                        let (lo, hi) = if j == 0 { (lo0, hi0) } else { (0, gdims[j].0) };
-                        if gcoords[j] < hi {
-                            break;
-                        }
-                        gcoords[j] = lo;
-                        goff -= gdims[j].1 * (hi - lo) as usize;
+        // written sequentially) and wraps back to the box origin, one run
+        // along the innermost group axis at a time: contiguous in the
+        // output, stride `glast` in the input (1 in the motivating
+        // grouped-on-stride-1-axis case, where both sides vectorize).
+        let mut s = 0usize;
+        while s < out.len() {
+            let run = ((hi_last - gcoords[k - 1]) as usize).min(out.len() - s);
+            guard.poll()?;
+            let src = eoff + goff;
+            let dst = &mut out[s..s + run];
+            if glast == 1 {
+                let xs = &av[src..src + run];
+                if pass == 0 {
+                    dst.copy_from_slice(xs);
+                } else {
+                    for (t, slot) in dst.iter_mut().enumerate() {
+                        *slot = S::add(*slot, xs[t]);
                     }
                 }
+            } else if pass == 0 {
+                for (t, slot) in dst.iter_mut().enumerate() {
+                    *slot = av[src + t * glast];
+                }
+            } else {
+                for (t, slot) in dst.iter_mut().enumerate() {
+                    *slot = S::add(*slot, av[src + t * glast]);
+                }
             }
-            KernelMode::Chunked => {
-                // Runs along the innermost group axis: contiguous in the
-                // output, stride `glast` in the input (1 in the motivating
-                // grouped-on-stride-1-axis case, where both sides
-                // vectorize).
-                let mut s = 0usize;
-                while s < out.len() {
-                    let run = ((hi_last - gcoords[k - 1]) as usize).min(out.len() - s);
-                    guard.poll()?;
-                    let src = eoff + goff;
-                    let dst = &mut out[s..s + run];
-                    if glast == 1 {
-                        let xs = &av[src..src + run];
-                        if pass == 0 {
-                            dst.copy_from_slice(xs);
-                        } else {
-                            for (t, slot) in dst.iter_mut().enumerate() {
-                                *slot = S::add(*slot, xs[t]);
-                            }
-                        }
-                    } else if pass == 0 {
-                        for (t, slot) in dst.iter_mut().enumerate() {
-                            *slot = av[src + t * glast];
-                        }
-                    } else {
-                        for (t, slot) in dst.iter_mut().enumerate() {
-                            *slot = S::add(*slot, av[src + t * glast]);
-                        }
+            s += run;
+            gcoords[k - 1] += run as u64;
+            goff += glast * run;
+            if gcoords[k - 1] == hi_last {
+                gcoords[k - 1] = lo_last;
+                goff -= glast * (hi_last - lo_last) as usize;
+                for j in (0..k - 1).rev() {
+                    gcoords[j] += 1;
+                    goff += gdims[j].1;
+                    let (lo, hi) = if j == 0 { (lo0, hi0) } else { (0, gdims[j].0) };
+                    if gcoords[j] < hi {
+                        break;
                     }
-                    s += run;
-                    gcoords[k - 1] += run as u64;
-                    goff += glast * run;
-                    if gcoords[k - 1] == hi_last {
-                        gcoords[k - 1] = lo_last;
-                        goff -= glast * (hi_last - lo_last) as usize;
-                        for j in (0..k - 1).rev() {
-                            gcoords[j] += 1;
-                            goff += gdims[j].1;
-                            let (lo, hi) = if j == 0 { (lo0, hi0) } else { (0, gdims[j].0) };
-                            if gcoords[j] < hi {
-                                break;
-                            }
-                            gcoords[j] = lo;
-                            goff -= gdims[j].1 * (hi - lo) as usize;
-                        }
-                    }
+                    gcoords[j] = lo;
+                    goff -= gdims[j].1 * (hi - lo) as usize;
                 }
             }
         }
@@ -1493,18 +1333,17 @@ fn agg_cells_input_major<S: SemiringOps>(
 }
 
 /// Aggregation kernel over one contiguous output-cell range. Each cell
-/// folds its eliminated subgrid in input-schema odometer order — in
-/// scalar mode, the same left-to-right order the rows of that group
-/// appear in a complete relation, so the fold matches the sparse
-/// operator's accumulation order exactly. Chunked mode folds each
-/// contiguous innermost run (eliminated stride 1) through [`fold_run`]'s
-/// lane accumulators instead — a different association whose shape is a
+/// folds its eliminated subgrid in input-schema odometer order. A
+/// contiguous innermost run (eliminated stride 1) folds through
+/// [`fold_run`]'s lane accumulators — an association whose shape is a
 /// pure function of the run length, so results stay bit-identical at any
-/// thread count (and exactly equal to scalar for the min/max-family
-/// semirings). The accumulator is validated once per cell: an invalid
-/// intermediate (overflow to ∞, or ∞ − ∞ = NaN) can only end in an
-/// invalid final value in these semirings, so the per-cell check catches
-/// everything the sparse per-accumulation check does.
+/// thread count (and exactly equal to the sequential scalar fold for the
+/// min/max-family semirings); strided runs fold left to right, the order
+/// the rows of that group appear in a complete relation. The
+/// accumulator is validated once per cell: an invalid intermediate
+/// (overflow to ∞, or ∞ − ∞ = NaN) can only end in an invalid final
+/// value in these semirings, so the per-cell check catches everything
+/// the sparse per-accumulation check does.
 #[allow(clippy::too_many_arguments)]
 fn agg_cells<S: SemiringOps>(
     av: &[f64],
@@ -1515,7 +1354,6 @@ fn agg_cells<S: SemiringOps>(
     out: &mut [f64],
     budget: Option<&ExecBudget>,
     arity: usize,
-    mode: KernelMode,
 ) -> Result<()> {
     let mut guard = OpGuard::new(budget, arity);
     let k = gdims.len();
@@ -1539,7 +1377,7 @@ fn agg_cells<S: SemiringOps>(
     // Lane-fold only contiguous runs: strided gathers defeat the point,
     // and matching the unfused/fused shapes requires the gate to be a
     // property of the data layout, not the run values.
-    let lane = mode == KernelMode::Chunked && selast == 1;
+    let lane = selast == 1;
     for slot in out.iter_mut() {
         guard.poll()?;
         // Seed with the first value (the sparse operator pushes a group's
@@ -1755,17 +1593,20 @@ mod tests {
     fn auto_dispatch_gates_on_completeness() {
         let (_, l, r) = fixtures();
         assert!(is_complete_on_inferred(&l));
-        assert!(dense_join_applies(DenseMode::Auto, &l, &r));
-        assert!(!dense_join_applies(DenseMode::Off, &l, &r));
+        assert!(dense_join_applies(ReprMode::Auto, &l, &r));
+        assert!(dense_join_applies(ReprMode::Dense, &l, &r));
+        assert!(!dense_join_applies(ReprMode::Rows, &l, &r));
+        assert!(!dense_join_applies(ReprMode::Sparse, &l, &r));
         let mut sparse = FunctionalRelation::new("s", l.schema().clone());
         sparse.push_row(&[5, 4], 1.0).unwrap();
         assert!(!is_complete_on_inferred(&sparse));
-        assert!(!dense_join_applies(DenseMode::Auto, &sparse, &r));
-        // Support-exactness is a hard precondition: even On refuses
+        assert!(!dense_join_applies(ReprMode::Auto, &sparse, &r));
+        // Support-exactness is a hard precondition: even Dense refuses
         // incomplete inputs at runtime (the modes differ at the planner).
-        assert!(!dense_join_applies(DenseMode::On, &sparse, &r));
-        assert!(dense_agg_applies(DenseMode::Auto, &l));
-        assert!(!dense_agg_applies(DenseMode::Auto, &sparse));
+        assert!(!dense_join_applies(ReprMode::Dense, &sparse, &r));
+        assert!(dense_agg_applies(ReprMode::Auto, &l));
+        assert!(!dense_agg_applies(ReprMode::Rows, &l));
+        assert!(!dense_agg_applies(ReprMode::Auto, &sparse));
         // Complete sides whose shared-variable ranges disagree would
         // zero-fill output cells the hash join never emits — refused too.
         let (cat, _, _) = fixtures();
@@ -1779,7 +1620,7 @@ mod tests {
         .unwrap();
         assert!(is_complete_on_inferred(&narrow));
         assert!(!join_support_exact(&l, &narrow));
-        assert!(!dense_join_applies(DenseMode::On, &l, &narrow));
+        assert!(!dense_join_applies(ReprMode::Dense, &l, &narrow));
     }
 
     #[test]
@@ -1794,7 +1635,7 @@ mod tests {
         let mut r = FunctionalRelation::new("r", Schema::new(vec![y]).unwrap());
         r.push_row(&[(1 << 13) - 1], 3.0).unwrap();
         let sr = SemiringKind::SumProduct;
-        assert!(!dense_join_applies(DenseMode::On, &l, &r));
+        assert!(!dense_join_applies(ReprMode::Dense, &l, &r));
         // The internal kernel itself refuses the grid (support-exactness
         // aside): 2^13 × 2^13 cells exceeds MAX_DENSE_CELLS.
         let (ld, rd) = (l.inferred_domains(), r.inferred_domains());
@@ -1839,10 +1680,357 @@ mod tests {
         assert_eq!(err, sparse_err);
     }
 
+    /// Semirings whose additive operation is selective (min/max/or):
+    /// the fold's value is one of its operands, so any reassociation —
+    /// lane chunking included — is exact, not just within rounding.
+    fn selective(sr: SemiringKind) -> bool {
+        !matches!(sr, SemiringKind::SumProduct | SemiringKind::LogSumProduct)
+    }
+
+    /// Rows with measure bits, in canonical order: bitwise comparison
+    /// (`FunctionalRelation`'s `==` allows float tolerance).
+    fn bits(rel: &FunctionalRelation) -> Vec<(Vec<u32>, u64)> {
+        let c = rel.canonicalized();
+        c.rows()
+            .map(|(row, m)| (row.to_vec(), m.to_bits()))
+            .collect()
+    }
+
+    /// The chunked kernels against the scalar reference: bit-identical
+    /// for the selective semirings, within `function_eq_in` tolerance for
+    /// `SumProduct`/`LogSumProduct`. Both results must also have the
+    /// same support (the reference emits every grid cell too).
+    fn assert_matches_reference(
+        sr: SemiringKind,
+        got: &FunctionalRelation,
+        want: &FunctionalRelation,
+        what: &str,
+    ) {
+        assert_eq!(got.len(), want.len(), "{what}: {sr:?} support");
+        if selective(sr) {
+            assert_eq!(
+                bits(got),
+                bits(want),
+                "{what}: {sr:?} reassociated a selective fold"
+            );
+        } else {
+            assert!(
+                want.function_eq_in(got, sr),
+                "{what}: {sr:?} diverged from scalar"
+            );
+        }
+    }
+
+    /// Complete factors over `doms` with non-uniform, semiring-safe
+    /// measures (two exact and inexact fractions, so float addition order
+    /// is observable; {0, 1} for the Boolean semiring).
+    fn grid(
+        cat: &Catalog,
+        name: &str,
+        vars: &[VarId],
+        sr: SemiringKind,
+        salt: u64,
+    ) -> FunctionalRelation {
+        FunctionalRelation::complete(name, Schema::new(vars.to_vec()).unwrap(), cat, |row| {
+            let cell = row
+                .iter()
+                .fold(salt, |h, &v| h.wrapping_mul(31).wrapping_add(v as u64));
+            if sr == SemiringKind::BoolOrAnd {
+                (cell % 2) as f64
+            } else {
+                (cell % 7 + 1) as f64 / 3.0
+            }
+        })
+    }
+
+    /// A VE chain r1(a,b) ⨝ r2(b,c) → γ{a,c} → ⨝ r3(c,d) → γ{a,d} → γ{a}
+    /// over 12-value domains (innermost runs exceed one 8-lane chunk and
+    /// leave a remainder), run through the production kernels — unfused
+    /// and fused — at threads {1, 4}, against the same chain through the
+    /// scalar reference.
     #[test]
-    fn mode_from_env_strings() {
-        // Only exercises the parser (no env mutation: tests run in
-        // parallel and the context carries the mode explicitly).
-        assert_eq!(DenseMode::default(), DenseMode::Auto);
+    fn chunked_kernels_match_scalar_reference() {
+        let mut cat = Catalog::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| cat.add_var(n, 12).unwrap());
+        for sr in SemiringKind::ALL {
+            let r1 = grid(&cat, "r1", &[a, b], sr, 1);
+            let r2 = grid(&cat, "r2", &[b, c], sr, 2);
+            let r3 = grid(&cat, "r3", &[c, d], sr, 3);
+            let t1 = scalar_ref::join(sr, &r1, &r2);
+            let t1 = scalar_ref::agg(sr, &t1, &[a, c]);
+            let t2 = scalar_ref::join(sr, &t1, &r3);
+            let t2 = scalar_ref::agg(sr, &t2, &[a, d]);
+            let want = scalar_ref::agg(sr, &t2, &[a]);
+            let fused_want = scalar_ref::join_agg(sr, &t1, &r3, &[a, d]);
+            assert_eq!(
+                bits(&fused_want),
+                bits(&t2),
+                "{sr:?}: reference fused == unfused"
+            );
+            let mut per_thread = Vec::new();
+            for t in [1, 4] {
+                let mut cx = ExecContext::new(sr).with_threads(t);
+                let j1 = join(&mut cx, &r1, &r2).unwrap();
+                assert_matches_reference(sr, &j1, &scalar_ref::join(sr, &r1, &r2), "join");
+                let g1 = agg(&mut cx, &j1, &[a, c]).unwrap();
+                let j2 = join(&mut cx, &g1, &r3).unwrap();
+                let g2 = agg(&mut cx, &j2, &[a, d]).unwrap();
+                let got = agg(&mut cx, &g2, &[a]).unwrap();
+                let fused = join_agg(&mut cx, &g1, &r3, &[a, d]).unwrap();
+                assert_eq!(cx.stats().dense_joins, 3, "{sr:?}: every step ran dense");
+                assert_eq!(
+                    bits(&fused),
+                    bits(&g2),
+                    "{sr:?}: fused == unfused, bit for bit"
+                );
+                assert_matches_reference(sr, &got, &want, "chain");
+                assert_matches_reference(sr, &fused, &fused_want, "fused");
+                per_thread.push(bits(&got));
+            }
+            assert_eq!(
+                per_thread[0], per_thread[1],
+                "{sr:?}: thread count changed bits"
+            );
+        }
+    }
+
+    /// The layout-specialized variants — the cache-blocked join, the
+    /// input-major aggregation, and the chunk-parallel splits above
+    /// [`PARALLEL_MIN_CELLS`] — against the scalar reference.
+    #[test]
+    fn blocked_and_input_major_kernels_match_scalar_reference() {
+        let mut cat = Catalog::new();
+        let b = cat.add_var("b", 230).unwrap();
+        let c = cat.add_var("c", 300).unwrap();
+        for sr in SemiringKind::ALL {
+            // (c, b) output ≥ TILE_MIN_CELLS with `r` stored (b, c): the
+            // implicit-transpose case the blocked kernel exists for.
+            let l = grid(&cat, "l", &[c], sr, 4);
+            let r = grid(&cat, "r", &[b, c], sr, 5);
+            // Grouping on the stride-1 axis engages input-major order;
+            // grouping on the outer axis lane-folds contiguous runs.
+            let want_join = scalar_ref::join(sr, &l, &r);
+            let wants: Vec<_> = [[c], [b]]
+                .into_iter()
+                .map(|gv| {
+                    let agg = scalar_ref::agg(sr, &r, &gv);
+                    (gv, agg, scalar_ref::join_agg(sr, &l, &r, &gv))
+                })
+                .collect();
+            for t in [1, 4] {
+                let mut cx = ExecContext::new(sr).with_threads(t);
+                let j = join(&mut cx, &l, &r).unwrap();
+                assert_matches_reference(sr, &j, &want_join, "blocked join");
+                for (gv, want_agg, want_fused) in &wants {
+                    let got = agg(&mut cx, &r, gv).unwrap();
+                    assert_matches_reference(sr, &got, want_agg, "agg");
+                    let fused = join_agg(&mut cx, &l, &r, gv).unwrap();
+                    assert_matches_reference(sr, &fused, want_fused, "fused");
+                }
+                assert_eq!(cx.stats().dense_joins, 3, "{sr:?}: every join ran dense");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Random measures on complete grids: the chunked kernels, fused
+        /// and unfused, never leave the scalar reference.
+        #[test]
+        fn random_measures_match_scalar_reference(
+            m1 in proptest::collection::vec(0u8..10, 16),
+            m2 in proptest::collection::vec(0u8..10, 16),
+            sr_idx in 0usize..7,
+        ) {
+            let sr = SemiringKind::ALL[sr_idx];
+            let mut cat = Catalog::new();
+            let [a, b, c] = ["a", "b", "c"].map(|n| cat.add_var(n, 4).unwrap());
+            let rel = |name: &str, vars: Vec<VarId>, m: &[u8]| {
+                FunctionalRelation::complete(name, Schema::new(vars).unwrap(), &cat, |row| {
+                    let v = m[(row[0] * 4 + row[1]) as usize];
+                    if sr == SemiringKind::BoolOrAnd { (v % 2) as f64 } else { v as f64 }
+                })
+            };
+            let (r1, r2) = (rel("r1", vec![a, b], &m1), rel("r2", vec![b, c], &m2));
+            let mut cx = ExecContext::new(sr);
+            let j = join(&mut cx, &r1, &r2).unwrap();
+            let unfused = agg(&mut cx, &j, &[a]).unwrap();
+            let fused = join_agg(&mut cx, &r1, &r2, &[a]).unwrap();
+            proptest::prop_assert_eq!(bits(&fused), bits(&unfused));
+            let want = scalar_ref::join_agg(sr, &r1, &r2, &[a]);
+            assert_matches_reference(sr, &fused, &want, "fused");
+            assert_matches_reference(sr, &j, &scalar_ref::join(sr, &r1, &r2), "join");
+        }
+    }
+}
+
+/// Scalar reference kernels: the one-cell-at-a-time loop shape the
+/// chunked kernels are checked against. Each takes inputs in
+/// dense-kernel form (the odometer sequence of their grid, agreeing on
+/// shared variables — what the public operators densify) and returns the
+/// output in odometer order. A join cell is one `mul`; a marginal cell
+/// folds its eliminated subgrid left to right in odometer order, seeded
+/// with the first value — the order the rows of that group appear in a
+/// complete relation.
+#[cfg(test)]
+mod scalar_ref {
+    use super::*;
+    use mpf_semiring::SemiringKind;
+
+    /// Grid coordinates of linear index `i` (last axis fastest).
+    fn decode(mut i: u64, doms: &[u64]) -> Vec<u64> {
+        let mut coords = vec![0u64; doms.len()];
+        for (c, &d) in coords.iter_mut().zip(doms).rev() {
+            *c = i % d;
+            i /= d;
+        }
+        coords
+    }
+
+    /// Per axis of `schema` (over `doms`), `rel`'s stride along it (0
+    /// when `rel` lacks the variable).
+    fn side_strides(rel: &FunctionalRelation, schema: &Schema, doms: &[u64]) -> Vec<usize> {
+        let own: Vec<u64> = rel
+            .schema()
+            .iter()
+            .map(|v| doms[schema.position(v).expect("var in grid")])
+            .collect();
+        let strides = strides_of(&own);
+        schema
+            .iter()
+            .map(|v| {
+                rel.schema()
+                    .position(v)
+                    .ok()
+                    .map_or(0, |p| strides[p] as usize)
+            })
+            .collect()
+    }
+
+    fn at(rel: &FunctionalRelation, strides: &[usize], coords: &[u64]) -> f64 {
+        let off: usize = coords
+            .iter()
+            .zip(strides)
+            .map(|(&c, &s)| c as usize * s)
+            .sum();
+        rel.measures()[off]
+    }
+
+    /// The union grid of two dense-kernel-form inputs.
+    fn join_grid(l: &FunctionalRelation, r: &FunctionalRelation) -> (Schema, Vec<u64>) {
+        let ld = ordered_grid_hint(l).expect("dense-kernel form");
+        let rd = ordered_grid_hint(r).expect("dense-kernel form");
+        assert!(
+            shared_domains_agree(l, r, &ld, &rd),
+            "grids agree on shared vars"
+        );
+        let schema = l.schema().union(r.schema());
+        let doms = union_domains(l, r, &schema, &ld, &rd);
+        (schema, doms)
+    }
+
+    /// Marginalize `value(coords over schema)` onto `group_vars`.
+    fn fold<S: SemiringOps>(
+        schema: &Schema,
+        doms: &[u64],
+        group_vars: &[VarId],
+        value: impl Fn(&[u64]) -> f64,
+    ) -> FunctionalRelation {
+        let gpos: Vec<usize> = group_vars
+            .iter()
+            .map(|&v| schema.position(v).unwrap())
+            .collect();
+        let epos: Vec<usize> = (0..schema.arity()).filter(|p| !gpos.contains(p)).collect();
+        let gdoms: Vec<u64> = gpos.iter().map(|&p| doms[p]).collect();
+        let edoms: Vec<u64> = epos.iter().map(|&p| doms[p]).collect();
+        let out_schema = Schema::new(group_vars.to_vec()).unwrap();
+        let mut out = DenseFactor::filled("ref", out_schema, gdoms.clone(), 0.0).unwrap();
+        let ecells: u64 = edoms.iter().product();
+        let mut coords = vec![0u64; schema.arity()];
+        for (g, slot) in out.values_mut().iter_mut().enumerate() {
+            for (&p, c) in gpos.iter().zip(decode(g as u64, &gdoms)) {
+                coords[p] = c;
+            }
+            let mut acc = None;
+            for e in 0..ecells {
+                for (&p, c) in epos.iter().zip(decode(e, &edoms)) {
+                    coords[p] = c;
+                }
+                let v = value(&coords);
+                acc = Some(acc.map_or(v, |a| S::add(a, v)));
+            }
+            *slot = acc.expect("non-empty subgrid");
+        }
+        out.into_relation()
+    }
+
+    fn join_s<S: SemiringOps>(
+        l: &FunctionalRelation,
+        r: &FunctionalRelation,
+    ) -> FunctionalRelation {
+        let (schema, doms) = join_grid(l, r);
+        let vars: Vec<VarId> = schema.iter().collect();
+        let (sa, sb) = (
+            side_strides(l, &schema, &doms),
+            side_strides(r, &schema, &doms),
+        );
+        fold::<S>(&schema, &doms, &vars, |c| {
+            S::mul(at(l, &sa, c), at(r, &sb, c))
+        })
+    }
+
+    fn agg_s<S: SemiringOps>(
+        input: &FunctionalRelation,
+        group_vars: &[VarId],
+    ) -> FunctionalRelation {
+        let doms = ordered_grid_hint(input).expect("dense-kernel form");
+        let strides = side_strides(input, input.schema(), &doms);
+        fold::<S>(input.schema(), &doms, group_vars, |c| {
+            at(input, &strides, c)
+        })
+    }
+
+    fn join_agg_s<S: SemiringOps>(
+        l: &FunctionalRelation,
+        r: &FunctionalRelation,
+        group_vars: &[VarId],
+    ) -> FunctionalRelation {
+        let (schema, doms) = join_grid(l, r);
+        let (sa, sb) = (
+            side_strides(l, &schema, &doms),
+            side_strides(r, &schema, &doms),
+        );
+        fold::<S>(&schema, &doms, group_vars, |c| {
+            S::mul(at(l, &sa, c), at(r, &sb, c))
+        })
+    }
+
+    /// Reference product join.
+    pub(super) fn join(
+        sr: SemiringKind,
+        l: &FunctionalRelation,
+        r: &FunctionalRelation,
+    ) -> FunctionalRelation {
+        for_each_semiring!(sr, join_s(l, r))
+    }
+
+    /// Reference marginalization.
+    pub(super) fn agg(
+        sr: SemiringKind,
+        input: &FunctionalRelation,
+        group_vars: &[VarId],
+    ) -> FunctionalRelation {
+        for_each_semiring!(sr, agg_s(input, group_vars))
+    }
+
+    /// Reference fused join→marginalize.
+    pub(super) fn join_agg(
+        sr: SemiringKind,
+        l: &FunctionalRelation,
+        r: &FunctionalRelation,
+        group_vars: &[VarId],
+    ) -> FunctionalRelation {
+        for_each_semiring!(sr, join_agg_s(l, r, group_vars))
     }
 }

@@ -51,13 +51,13 @@ pub struct Executor<'a, P: RelationProvider> {
 impl<'a, P: RelationProvider + Sync> Executor<'a, P> {
     /// Create an executor over `provider` with the given semiring, no
     /// resource limits, and the environment-default parallelism
-    /// ([`crate::limits::default_threads`]).
+    /// ([`crate::config::default_threads`]).
     pub fn new(provider: &'a P, semiring: SemiringKind) -> Self {
         Self {
             provider,
             semiring,
             budget: None,
-            threads: crate::limits::default_threads(),
+            threads: crate::config::default_threads(),
         }
     }
 

@@ -49,7 +49,6 @@ pub mod trace;
 
 pub use config::{ConfigError, EnvKnobs};
 pub use context::ExecContext;
-pub use dense::{DenseMode, KernelMode};
 pub use error::AlgebraError;
 pub use exec::Executor;
 pub use limits::{BudgetLease, BudgetPool, CancelToken, ExecBudget, ExecLimits, OpGuard, ResourceKind};

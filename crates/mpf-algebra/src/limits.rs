@@ -105,10 +105,11 @@ pub struct ExecLimits {
     /// External cancellation handle.
     pub cancel: Option<CancelToken>,
     /// Worker threads for the parallel operators and for concurrent
-    /// subplan scheduling. `None` resolves through [`default_threads`]
-    /// (the `MPF_THREADS` environment variable, else the machine's
-    /// available parallelism). A knob, not a budget: it never trips an
-    /// error and is ignored by [`ExecLimits::is_unlimited`].
+    /// subplan scheduling. `None` resolves through
+    /// [`crate::config::default_threads`] (the `MPF_THREADS` environment
+    /// variable, else the machine's available parallelism). A knob, not a
+    /// budget: it never trips an error and is ignored by
+    /// [`ExecLimits::is_unlimited`].
     pub threads: Option<usize>,
     /// Operator workspace in bytes, used to derive partition counts for
     /// the partitioned (Grace/parallel) operators. `None` resolves to
@@ -162,9 +163,10 @@ impl ExecLimits {
     }
 
     /// The configured thread count, or the environment default
-    /// ([`default_threads`]).
+    /// ([`crate::config::default_threads`]).
     pub fn effective_threads(&self) -> usize {
-        self.threads.map_or_else(default_threads, |t| t.max(1))
+        self.threads
+            .map_or_else(crate::config::default_threads, |t| t.max(1))
     }
 
     /// The configured workspace, or [`DEFAULT_WORKSPACE_BYTES`].
@@ -188,20 +190,6 @@ impl ExecLimits {
 /// unset: 16 MiB, the same order as the `work_mem` default of the paper's
 /// modified PostgreSQL 8.1.
 pub const DEFAULT_WORKSPACE_BYTES: u64 = 16 << 20;
-
-/// Worker threads used when [`ExecLimits::threads`] is unset: the
-/// `MPF_THREADS` environment variable when it parses as a positive
-/// integer, else the machine's available parallelism.
-pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("MPF_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
 
 /// How many rows a tight loop processes between deadline/cancel polls.
 pub const TICK_INTERVAL: u32 = 1024;

@@ -48,7 +48,7 @@ use mpf_storage::layout::grid_cells_wide;
 use mpf_storage::sparse::{Factor, SparseFactor};
 use mpf_storage::{FunctionalRelation, Schema, Value, VarId};
 
-use crate::dense::{self, KernelMode, KERNEL_BLOCK};
+use crate::dense::{self, KERNEL_BLOCK};
 use crate::limits::{ExecBudget, OpGuard};
 use crate::trace::{OpRepr, SpanKind};
 use crate::{ops, AlgebraError, ExecContext, Result};
@@ -58,37 +58,43 @@ use crate::{ops, AlgebraError, ExecContext, Result};
 /// operators' per-present-row costs beat the sort/merge constant factor.
 pub const SPARSE_MIN_DENSITY: f64 = 0.01;
 
-/// Whether the sparse-tensor operators may be dispatched to, resolved
-/// per context (planner configs and tests set it explicitly;
-/// [`ReprMode::from_env`] is the default).
+/// Which factor representations operators may run on, set per context,
+/// planner config, and database through the Rust API. [`ReprMode::Auto`]
+/// — the default — lets the cost model choose per operator: dense for
+/// near-complete grids, sparse in the mid-density band, rows otherwise.
+/// The other values pin one representation, for parity tests and
+/// ablations. Every value computes the same answers; only the kernels
+/// differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReprMode {
-    /// Never use the sparse kernels.
-    Off,
-    /// Use the sparse kernels whenever the coordinate space is feasible,
-    /// skipping the density heuristic. Infeasible inputs still fall back
-    /// to the hash operators.
+    /// Row-major hash operators only.
+    Rows,
+    /// The sparse-tensor kernels whenever the coordinate space is
+    /// feasible, skipping the density heuristic; never dense. Infeasible
+    /// inputs fall back to the hash operators.
     Sparse,
-    /// Use the sparse kernels when the estimated density clears
-    /// [`SPARSE_MIN_DENSITY`] (and the dense path does not apply) — the
-    /// cost-based default.
+    /// The dense odometer kernels whenever the grids are feasible,
+    /// skipping the planner's density heuristic; never sparse. The
+    /// kernels still verify support-exactness at run time and fall back
+    /// to the hash operators otherwise.
+    Dense,
+    /// Cost-based: dense when the estimated density clears the planner's
+    /// dense threshold and the grids are feasible (at run time, when the
+    /// inputs are support-exact), else sparse when the density clears
+    /// [`SPARSE_MIN_DENSITY`], else rows.
     #[default]
     Auto,
 }
 
 impl ReprMode {
-    /// Resolve from the `MPF_REPR` environment variable: `off`/`0`,
-    /// `sparse`/`on`/`1`, or `auto`; unset or unrecognized means
-    /// [`ReprMode::Auto`].
-    pub fn from_env() -> ReprMode {
-        match std::env::var("MPF_REPR") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "off" | "0" | "false" => ReprMode::Off,
-                "sparse" | "on" | "1" | "true" => ReprMode::Sparse,
-                _ => ReprMode::Auto,
-            },
-            Err(_) => ReprMode::Auto,
-        }
+    /// Whether the dense kernels may be dispatched to.
+    pub fn allows_dense(self) -> bool {
+        matches!(self, ReprMode::Dense | ReprMode::Auto)
+    }
+
+    /// Whether the sparse kernels may be dispatched to.
+    pub fn allows_sparse(self) -> bool {
+        matches!(self, ReprMode::Sparse | ReprMode::Auto)
     }
 }
 
@@ -230,7 +236,7 @@ fn side_density(side: &SideRef<'_>) -> Option<f64> {
 /// [`SPARSE_MIN_DENSITY`] (always, under [`ReprMode::Sparse`]).
 fn sparse_eligible(mode: ReprMode, side: &SideRef<'_>) -> bool {
     match mode {
-        ReprMode::Off => false,
+        ReprMode::Rows | ReprMode::Dense => false,
         ReprMode::Sparse => true,
         ReprMode::Auto => match side {
             SideRef::Sparse(_) => true,
@@ -259,9 +265,9 @@ pub fn sparse_agg_applies(mode: ReprMode, input: &FunctionalRelation) -> bool {
 }
 
 /// [`ops::product_join`] dispatched three ways through the context's
-/// [`DenseMode`] and [`ReprMode`]: the dense odometer kernel when the
-/// inputs are support-exact complete grids, the sparse sorted-merge
-/// kernel in the mid-density band, the hash join otherwise. This is the
+/// [`ReprMode`]: the dense odometer kernel when the inputs are
+/// support-exact complete grids, the sparse sorted-merge kernel in the
+/// mid-density band, the hash join otherwise. This is the
 /// entry point for callers outside the planner (the inference layer),
 /// whose operator calls never pass through `choose_physical`.
 pub fn join_auto(
@@ -269,7 +275,7 @@ pub fn join_auto(
     l: &FunctionalRelation,
     r: &FunctionalRelation,
 ) -> Result<FunctionalRelation> {
-    if dense::dense_join_applies(cx.dense_mode(), l, r) {
+    if dense::dense_join_applies(cx.repr_mode(), l, r) {
         return dense::join(cx, l, r);
     }
     if sparse_join_applies(cx.repr_mode(), l, r) {
@@ -279,13 +285,13 @@ pub fn join_auto(
 }
 
 /// [`ops::group_by`] dispatched three ways through the context's
-/// [`DenseMode`] and [`ReprMode`].
+/// [`ReprMode`].
 pub fn agg_auto(
     cx: &mut ExecContext<'_>,
     input: &FunctionalRelation,
     group_vars: &[VarId],
 ) -> Result<FunctionalRelation> {
-    if dense::dense_agg_applies(cx.dense_mode(), input) {
+    if dense::dense_agg_applies(cx.repr_mode(), input) {
         return dense::agg(cx, input, group_vars);
     }
     if sparse_agg_applies(cx.repr_mode(), input) {
@@ -311,7 +317,7 @@ pub fn join(
         Some(sp) => {
             let rel = from_sparse(cx, sp)?;
             cx.record_join_ex(&[l, r], &rel, OpRepr::Sparse);
-            cx.note_kernel_op(cx.kernel_mode());
+            cx.note_kernel_op();
             Ok(rel)
         }
         None => ops::product_join(cx, l, r),
@@ -409,14 +415,14 @@ pub fn join_factor(cx: &mut ExecContext<'_>, l: &Factor, r: &Factor) -> Result<F
                     sp.schema().arity(),
                     OpRepr::Sparse,
                 );
-                cx.note_kernel_op(cx.kernel_mode());
+                cx.note_kernel_op();
                 return Ok(Factor::Sparse(sp));
             }
         }
     }
     let lr = as_relation(cx, l)?;
     let rr = as_relation(cx, r)?;
-    let rel = if dense::dense_join_applies(cx.dense_mode(), &lr, &rr) {
+    let rel = if dense::dense_join_applies(cx.repr_mode(), &lr, &rr) {
         dense::join(cx, &lr, &rr)?
     } else {
         ops::product_join(cx, &lr, &rr)?
@@ -452,7 +458,7 @@ pub fn agg_factor(
         }
     }
     let fr = as_relation(cx, f)?;
-    let rel = if dense::dense_agg_applies(cx.dense_mode(), &fr) {
+    let rel = if dense::dense_agg_applies(cx.repr_mode(), &fr) {
         dense::agg(cx, &fr, group_vars)?
     } else {
         ops::group_by(cx, &fr, group_vars)?
@@ -566,7 +572,6 @@ fn join_impl(
     let sr = cx.semiring();
     let budget = cx.budget();
     let arity = out_schema.arity();
-    let mode = cx.kernel_mode();
     let (coords, values) = for_each_semiring!(
         sr,
         join_kernel(
@@ -578,7 +583,6 @@ fn join_impl(
             b_own_cells,
             budget,
             arity,
-            mode,
         )
     )?;
     let name = format!("({}⨝*{})", l_name(l), l_name(r));
@@ -685,11 +689,12 @@ fn agg_impl(
 /// `a_key * b_own_cells + b_own_index`, ascending by construction.
 /// Monomorphized per semiring so the inner multiply is a static op.
 ///
-/// [`KernelMode::Chunked`] emits each `(a row × b run)` value column in
+/// Each `(a row × b run)` value column is emitted in
 /// [`KERNEL_BLOCK`]-sized `extend` strides — a straight-line multiply of
 /// the b value column by a scalar, which autovectorizes — charging the
 /// budget once per block via [`OpGuard::produced_many`]. The multiply is
-/// elementwise, so scalar and chunked outputs are bit-identical.
+/// elementwise, so the output is bit-identical to a one-pair-at-a-time
+/// loop (the test-only scalar reference below).
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn join_kernel<S: SemiringOps>(
     a_keys: &[u64],
@@ -700,7 +705,6 @@ fn join_kernel<S: SemiringOps>(
     b_own_cells: u64,
     budget: Option<&ExecBudget>,
     arity: usize,
-    mode: KernelMode,
 ) -> Result<(Vec<u64>, Vec<f64>)> {
     let mut guard = OpGuard::new(budget, arity);
     let mut out_keys: Vec<u64> = Vec::with_capacity(a_keys.len().max(b_keys.len()));
@@ -735,26 +739,14 @@ fn join_kernel<S: SemiringOps>(
         for ai in i..ia {
             let base = a_keys[ai] * b_own_cells;
             let va = a_vals[ai];
-            match mode {
-                KernelMode::Scalar => {
-                    for bj in j..jb {
-                        guard.poll()?;
-                        out_keys.push(base + b_own[bj]);
-                        out_vals.push(S::mul(va, b_vals[bj]));
-                        guard.produced()?;
-                    }
-                }
-                KernelMode::Chunked => {
-                    let mut t = j;
-                    while t < jb {
-                        guard.poll()?;
-                        let blk = (jb - t).min(KERNEL_BLOCK);
-                        out_keys.extend(b_own[t..t + blk].iter().map(|&o| base + o));
-                        out_vals.extend(b_vals[t..t + blk].iter().map(|&vb| S::mul(va, vb)));
-                        guard.produced_many(blk as u64)?;
-                        t += blk;
-                    }
-                }
+            let mut t = j;
+            while t < jb {
+                guard.poll()?;
+                let blk = (jb - t).min(KERNEL_BLOCK);
+                out_keys.extend(b_own[t..t + blk].iter().map(|&o| base + o));
+                out_vals.extend(b_vals[t..t + blk].iter().map(|&vb| S::mul(va, vb)));
+                guard.produced_many(blk as u64)?;
+                t += blk;
             }
         }
         i = ia;
@@ -1010,7 +1002,9 @@ mod tests {
         let (_, l, r) = fixtures();
         // ~40% dense fixtures clear the 1% floor.
         assert!(sparse_join_applies(ReprMode::Auto, &l, &r));
-        assert!(!sparse_join_applies(ReprMode::Off, &l, &r));
+        assert!(sparse_join_applies(ReprMode::Sparse, &l, &r));
+        assert!(!sparse_join_applies(ReprMode::Rows, &l, &r));
+        assert!(!sparse_join_applies(ReprMode::Dense, &l, &r));
         // One present row in a wide grid is far below the floor: Auto
         // declines, the forced mode accepts.
         let mut cat = Catalog::new();
@@ -1057,9 +1051,66 @@ mod tests {
     }
 
     #[test]
-    fn mode_from_env_defaults_to_auto() {
-        // Parser-only check (no env mutation: tests run in parallel and
-        // the context carries the mode explicitly).
+    fn mode_defaults_to_auto() {
         assert_eq!(ReprMode::default(), ReprMode::Auto);
+        let cx = ExecContext::new(SemiringKind::SumProduct);
+        assert_eq!(cx.repr_mode(), ReprMode::Auto);
+    }
+
+    /// The scalar reference shape of [`join_kernel`]: one pair at a time,
+    /// in the merge's output order (a rows ascending, then b rows within
+    /// the matching run).
+    fn join_kernel_scalar<S: SemiringOps>(
+        a_keys: &[u64],
+        a_vals: &[f64],
+        b_keys: &[u64],
+        b_vals: &[f64],
+        a_own_cells: u64,
+        b_own_cells: u64,
+    ) -> (Vec<u64>, Vec<f64>) {
+        let (mut keys, mut vals) = (Vec::new(), Vec::new());
+        for (&ka, &va) in a_keys.iter().zip(a_vals) {
+            for (&kb, &vb) in b_keys.iter().zip(b_vals) {
+                if ka / a_own_cells == kb / b_own_cells {
+                    keys.push(ka * b_own_cells + kb % b_own_cells);
+                    vals.push(S::mul(va, vb));
+                }
+            }
+        }
+        (keys, vals)
+    }
+
+    /// The chunked sorted-merge join emits exactly the scalar reference's
+    /// coordinates and measure bits, for every semiring, with b runs
+    /// longer than one [`KERNEL_BLOCK`].
+    #[test]
+    fn chunked_join_kernel_matches_scalar_reference() {
+        let a_own = 4u64;
+        let b_own = KERNEL_BLOCK as u64 + 5;
+        let a_keys: Vec<u64> = (0..16 * a_own).filter(|k| k % 7 != 3).collect();
+        let b_keys: Vec<u64> = (0..12 * b_own).filter(|k| k % 5 != 0).collect();
+        for sr in SemiringKind::ALL {
+            let measure = |k: &u64, salt: u64| {
+                if sr == SemiringKind::BoolOrAnd {
+                    ((k + salt) % 2) as f64
+                } else {
+                    ((k * salt) % 7 + 1) as f64 / 3.0
+                }
+            };
+            let a_vals: Vec<f64> = a_keys.iter().map(|k| measure(k, 3)).collect();
+            let b_vals: Vec<f64> = b_keys.iter().map(|k| measure(k, 11)).collect();
+            let (keys, vals) = for_each_semiring!(
+                sr,
+                join_kernel(&a_keys, &a_vals, &b_keys, &b_vals, a_own, b_own, None, 3)
+            )
+            .unwrap();
+            let (want_keys, want_vals) = for_each_semiring!(
+                sr,
+                join_kernel_scalar(&a_keys, &a_vals, &b_keys, &b_vals, a_own, b_own)
+            );
+            assert_eq!(keys, want_keys, "{sr:?}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&vals), bits(&want_vals), "{sr:?}");
+        }
     }
 }

@@ -48,8 +48,6 @@ pub struct ExecStats {
     pub fused_join_aggs: u64,
     /// Kernel dispatches that ran the lane-chunked inner loops.
     pub kernel_chunked_ops: u64,
-    /// Kernel dispatches that ran the scalar reference inner loops.
-    pub kernel_scalar_ops: u64,
 }
 
 impl ExecStats {
@@ -72,7 +70,6 @@ impl ExecStats {
         self.trunk_hits += other.trunk_hits;
         self.fused_join_aggs += other.fused_join_aggs;
         self.kernel_chunked_ops += other.kernel_chunked_ops;
-        self.kernel_scalar_ops += other.kernel_scalar_ops;
     }
 }
 
@@ -100,7 +97,6 @@ mod tests {
             trunk_hits: 4,
             fused_join_aggs: 1,
             kernel_chunked_ops: 3,
-            kernel_scalar_ops: 0,
         };
         let b = ExecStats {
             rows_scanned: 1,
@@ -120,7 +116,6 @@ mod tests {
             trunk_hits: 10,
             fused_join_aggs: 2,
             kernel_chunked_ops: 1,
-            kernel_scalar_ops: 2,
         };
         a.merge(&b);
         assert_eq!(a.rows_scanned, 11);
@@ -139,6 +134,5 @@ mod tests {
         assert_eq!(a.trunk_hits, 14);
         assert_eq!(a.fused_join_aggs, 3);
         assert_eq!(a.kernel_chunked_ops, 4);
-        assert_eq!(a.kernel_scalar_ops, 2);
     }
 }

@@ -165,10 +165,6 @@ pub struct TraceSpan {
     pub workers: Option<usize>,
     /// The storage representation the operator ran on.
     pub repr: OpRepr,
-    /// The kernel inner-loop mode (`"scalar"`/`"chunked"`) a
-    /// monomorphized kernel ran with; `None` for operators that never
-    /// touched a monomorphized kernel (hash path, scans, phases).
-    pub kernel: Option<&'static str>,
     /// True when the span is a fused join→marginalize contraction (one
     /// operator accounting as a join *and* a group-by).
     pub fused: bool,
@@ -194,7 +190,6 @@ impl TraceSpan {
             partitions: desc.partitions,
             workers: desc.workers,
             repr: desc.repr,
-            kernel: None,
             fused: false,
             est_rows: None,
             fault: None,
@@ -244,9 +239,6 @@ impl TraceSpan {
                 out.push_str(&format!(", workers={w}"));
             }
             out.push_str(&format!(", repr={}", self.repr.name()));
-            if let Some(k) = self.kernel {
-                out.push_str(&format!(", kernel={k}"));
-            }
             if self.fused {
                 out.push_str(", fused=true");
             }
@@ -279,9 +271,6 @@ impl TraceSpan {
         }
         if self.kind != SpanKind::Phase {
             out.push_str(&format!(",\"repr\":\"{}\"", self.repr.name()));
-        }
-        if let Some(k) = self.kernel {
-            out.push_str(&format!(",\"kernel\":\"{k}\""));
         }
         if self.fused {
             out.push_str(",\"fused\":true");
@@ -496,21 +485,10 @@ impl TraceCollector {
         }
     }
 
-    /// Tag the active span with the kernel inner-loop mode: the innermost
-    /// open span when one exists (interpreter path), else the span most
-    /// recently attached at the current level (ad-hoc operator calls,
-    /// whose accounting attaches a leaf just before this runs).
-    pub(crate) fn set_kernel(&mut self, kernel: &'static str) {
-        if !self.enabled() {
-            return;
-        }
-        if let Some(span) = self.active_span() {
-            span.kernel = Some(kernel);
-        }
-    }
-
-    /// Mark the active span as a fused join→marginalize contraction (same
-    /// targeting rule as [`TraceCollector::set_kernel`]).
+    /// Mark the active span as a fused join→marginalize contraction: the
+    /// innermost open span when one exists (interpreter path), else the
+    /// span most recently attached at the current level (ad-hoc operator
+    /// calls, whose accounting attaches a leaf just before this runs).
     pub(crate) fn set_fused(&mut self, fused: bool) {
         if !self.enabled() {
             return;

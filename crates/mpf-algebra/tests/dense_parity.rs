@@ -3,17 +3,13 @@
 //! hash operators for every semiring, *bit-identical across thread
 //! counts*, and charge the budgets identically (same typed error on a
 //! trip, same rows-processed accounting). On inputs that are not
-//! support-exact every [`DenseMode`] falls back to the sparse operators,
-//! so answers never depend on the mode.
-//!
-//! Modes are pinned on the [`ExecContext`] rather than through `MPF_DENSE`
-//! (tests share a process; the env var is read once per context build),
-//! which is also why CI runs this suite under both `MPF_DENSE=off` and
-//! `MPF_DENSE=auto`: the explicit-mode tests must hold either way.
+//! support-exact every [`ReprMode`] that allows dense falls back to the
+//! other operators, so answers never depend on the mode. Modes are pinned
+//! on the [`ExecContext`].
 
 use mpf_algebra::{
-    dense, ops, AggAlgo, AlgebraError, CancelToken, DenseMode, ExecContext, ExecLimits, Executor,
-    JoinAlgo, PhysicalPlan, Plan, RelationStore, ResourceKind,
+    dense, ops, sparse, AggAlgo, AlgebraError, CancelToken, ExecContext, ExecLimits, Executor,
+    JoinAlgo, PhysicalPlan, Plan, RelationStore, ReprMode, ResourceKind,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -103,11 +99,11 @@ proptest! {
         }
     }
 
-    /// Whatever the mode, [`dense::join_auto`] / [`dense::agg_auto`]
-    /// answer identically: Off always takes the sparse path, and On/Auto
-    /// refuse inputs that are not support-exact, so mode only ever picks
-    /// the kernel, never the answer. Holes are punched in r1 (making it
-    /// incomplete) to exercise the fallback side.
+    /// Whatever the mode, [`sparse::join_auto`] / [`sparse::agg_auto`]
+    /// answer identically: `Rows` never takes the dense path, and
+    /// `Dense`/`Auto` refuse inputs that are not support-exact, so mode
+    /// only ever picks the kernel, never the answer. Holes are punched in
+    /// r1 (making it incomplete) to exercise the fallback side.
     #[test]
     fn mode_never_changes_answers(
         m1 in proptest::collection::vec(0u8..10, 9),
@@ -126,11 +122,11 @@ proptest! {
         .unwrap();
         for input in [&r1, &punched] {
             let mut answers: Vec<FunctionalRelation> = Vec::new();
-            for mode in [DenseMode::Off, DenseMode::On, DenseMode::Auto] {
-                let mut cx = ExecContext::new(sr).with_dense(mode);
-                let j = dense::join_auto(&mut cx, input, &r2).unwrap();
-                let g = dense::agg_auto(&mut cx, &j, &[b]).unwrap();
-                if mode == DenseMode::Off {
+            for mode in [ReprMode::Rows, ReprMode::Dense, ReprMode::Auto] {
+                let mut cx = ExecContext::new(sr).with_repr(mode);
+                let j = sparse::join_auto(&mut cx, input, &r2).unwrap();
+                let g = sparse::agg_auto(&mut cx, &j, &[b]).unwrap();
+                if mode == ReprMode::Rows {
                     prop_assert_eq!(cx.stats().dense_joins + cx.stats().dense_group_bys, 0);
                 }
                 if !dense::join_support_exact(input, &r2) {

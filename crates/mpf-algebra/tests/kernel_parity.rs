@@ -1,47 +1,43 @@
-//! Kernel-mode parity: whatever `MPF_KERNEL` selects — scalar inner
-//! loops or the 8-wide chunked kernels — answers are the same function,
-//! for every semiring, under every representation mode, at every thread
-//! count; and the fused join→marginalize operator is indistinguishable
-//! from the unfused pair except in the work it skips.
+//! Kernel parity: the chunked monomorphized kernels compute the same
+//! function under every representation mode at every thread count, and
+//! the fused join→marginalize operator is indistinguishable from the
+//! unfused pair except in the work it skips.
 //!
 //! The guarantees under test, in decreasing strength:
 //!
-//! * **Bit-identity across thread counts** for *all* semirings in either
-//!   kernel mode: the chunked reduction shape is a pure function of run
-//!   length, never of the worker partitioning.
-//! * **Bit-identity scalar vs chunked** for the selective semirings
-//!   (min/max/or families): reassociating a selective fold cannot change
-//!   the result. The rounding semirings (sum-product, log-sum-product)
-//!   agree within [`FunctionalRelation::function_eq_in`] tolerance.
+//! * **Bit-identity across thread counts** for *all* semirings: the
+//!   chunked reduction shape is a pure function of run length, never of
+//!   the worker partitioning.
 //! * **Bit-identity fused vs unfused** for *all* semirings: the fused
 //!   kernel folds products in exactly the unfused join-then-aggregate
 //!   order, on both the dense grid path and the hash fallback.
+//! * **Function-equality across representations** (within
+//!   [`FunctionalRelation::function_eq_in`] tolerance for the rounding
+//!   semirings).
 //!
-//! Modes are pinned on the [`ExecContext`] (tests share a process; env
-//! vars are read once per context build); CI additionally runs the whole
-//! suite under `MPF_KERNEL=scalar|chunked` × `MPF_THREADS=1|4`.
+//! The chunked kernels against the one-cell-at-a-time scalar reference
+//! (bit-identical for the selective semirings, `function_eq_in` for
+//! sum-product and log-sum-product) are unit tests inside `mpf-algebra`
+//! (`dense::tests`, `sparse::tests`), where the test-only reference
+//! kernels live. Modes are pinned on the [`ExecContext`].
 
 use std::collections::BTreeMap;
 
 use mpf_algebra::{
-    sparse, AggAlgo, DenseMode, ExecContext, Executor, JoinAlgo, KernelMode, PhysicalPlan, Plan,
-    RelationStore, ReprMode, SpanKind, TraceLevel,
+    sparse, AggAlgo, ExecContext, Executor, JoinAlgo, PhysicalPlan, Plan, RelationStore, ReprMode,
+    SpanKind, TraceLevel,
 };
 use mpf_semiring::SemiringKind;
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
 use proptest::prelude::*;
 
 const THREADS: [usize; 2] = [1, 4];
-const KERNELS: [KernelMode; 2] = [KernelMode::Scalar, KernelMode::Chunked];
-const REPRS: [ReprMode; 2] = [ReprMode::Off, ReprMode::Sparse];
-const DENSES: [DenseMode; 2] = [DenseMode::Off, DenseMode::Auto];
-
-/// Semirings whose additive operation is selective (min/max/or): the
-/// fold's value is one of its operands, so any reassociation — lane
-/// chunking included — is exact, not just within rounding.
-fn selective(sr: SemiringKind) -> bool {
-    !matches!(sr, SemiringKind::SumProduct | SemiringKind::LogSumProduct)
-}
+const REPRS: [ReprMode; 4] = [
+    ReprMode::Rows,
+    ReprMode::Sparse,
+    ReprMode::Dense,
+    ReprMode::Auto,
+];
 
 /// Row-keyed measure bits, for order-independent bitwise comparison.
 fn bits(rel: &FunctionalRelation) -> BTreeMap<Vec<u32>, u64> {
@@ -113,22 +109,16 @@ fn chain(sr: SemiringKind, density: f64) -> ([FunctionalRelation; 3], [VarId; 4]
 }
 
 /// A VE pipeline (eliminate b, then c, then marginalize onto a) under one
-/// pinned (repr, dense, kernel, threads) mode tuple.
+/// pinned (repr, threads) pair.
 fn ve_chain(
     sr: SemiringKind,
     rels: &[FunctionalRelation; 3],
     vars: &[VarId; 4],
     repr: ReprMode,
-    dense: DenseMode,
-    kernel: KernelMode,
     threads: usize,
 ) -> (FunctionalRelation, mpf_algebra::ExecStats) {
     let [a, _, c, d] = *vars;
-    let mut cx = ExecContext::new(sr)
-        .with_repr(repr)
-        .with_dense(dense)
-        .with_kernel(kernel)
-        .with_threads(threads);
+    let mut cx = ExecContext::new(sr).with_repr(repr).with_threads(threads);
     let t1 = sparse::join_auto(&mut cx, &rels[0], &rels[1]).unwrap();
     let t1 = sparse::agg_auto(&mut cx, &t1, &[a, c]).unwrap();
     let t2 = sparse::join_auto(&mut cx, &t1, &rels[2]).unwrap();
@@ -137,69 +127,37 @@ fn ve_chain(
     (out, *cx.stats())
 }
 
-/// The full matrix: 7 semirings × {off,sparse} × {off,auto} × both
-/// kernels × threads {1,4}, at a sparse and a near-complete density.
-/// Scalar and chunked always compute the same function; selective
-/// semirings agree bit-for-bit; *every* cell of the matrix is
-/// bit-identical across thread counts.
+/// The full matrix: 7 semirings × every [`ReprMode`] × threads {1,4},
+/// at a sparse and a near-complete density, plus complete grids where
+/// the dense kernels run. Every cell computes the hash baseline's
+/// function and is bit-identical across thread counts.
 #[test]
 fn kernel_matrix_parity() {
-    for density in [0.3, 0.95] {
+    for density in [0.3, 0.95, 1.0] {
         for sr in SemiringKind::ALL {
             let (rels, vars) = chain(sr, density);
-            let (baseline, _) = ve_chain(
-                sr,
-                &rels,
-                &vars,
-                ReprMode::Off,
-                DenseMode::Off,
-                KernelMode::Scalar,
-                1,
-            );
+            let (baseline, _) = ve_chain(sr, &rels, &vars, ReprMode::Rows, 1);
             for repr in REPRS {
-                for dense in DENSES {
-                    for kernel in KERNELS {
-                        let mut per_thread: Vec<BTreeMap<Vec<u32>, u64>> = Vec::new();
-                        for t in THREADS {
-                            let (got, stats) =
-                                ve_chain(sr, &rels, &vars, repr, dense, kernel, t);
-                            assert!(
-                                baseline.function_eq_in(&got, sr),
-                                "diverged from scalar-hash baseline: density {density} \
-                                 sr {sr:?} repr {repr:?} dense {dense:?} kernel \
-                                 {kernel:?} threads {t}"
-                            );
-                            // Mode accounting: a context pinned to one kernel
-                            // mode never counts ops under the other.
-                            match kernel {
-                                KernelMode::Scalar => assert_eq!(stats.kernel_chunked_ops, 0),
-                                KernelMode::Chunked => assert_eq!(stats.kernel_scalar_ops, 0),
-                            }
-                            per_thread.push(bits(&got));
-                        }
-                        assert_eq!(
-                            per_thread[0], per_thread[1],
-                            "thread count changed bits: density {density} sr {sr:?} \
-                             repr {repr:?} dense {dense:?} kernel {kernel:?}"
+                let mut per_thread: Vec<BTreeMap<Vec<u32>, u64>> = Vec::new();
+                for t in THREADS {
+                    let (got, stats) = ve_chain(sr, &rels, &vars, repr, t);
+                    assert!(
+                        baseline.function_eq_in(&got, sr),
+                        "diverged from hash baseline: density {density} sr {sr:?} \
+                         repr {repr:?} threads {t}"
+                    );
+                    if density == 1.0 && repr.allows_dense() {
+                        assert!(
+                            stats.kernel_chunked_ops > 0,
+                            "dense ran: sr {sr:?} {repr:?}"
                         );
                     }
-                    // Selective addition makes chunking exact, so the two
-                    // kernel modes agree bit-for-bit, not just in tolerance.
-                    if selective(sr) {
-                        let (s, _) = ve_chain(
-                            sr, &rels, &vars, repr, dense, KernelMode::Scalar, 1,
-                        );
-                        let (c, _) = ve_chain(
-                            sr, &rels, &vars, repr, dense, KernelMode::Chunked, 1,
-                        );
-                        assert_eq!(
-                            bits(&s),
-                            bits(&c),
-                            "selective fold reassociated: density {density} sr {sr:?} \
-                             repr {repr:?} dense {dense:?}"
-                        );
-                    }
+                    per_thread.push(bits(&got));
                 }
+                assert_eq!(
+                    per_thread[0], per_thread[1],
+                    "thread count changed bits: density {density} sr {sr:?} repr {repr:?}"
+                );
             }
         }
     }
@@ -220,40 +178,80 @@ fn fused_fixture(sr: SemiringKind) -> (RelationStore, Vec<VarId>, Plan) {
     (store, vec![a, b, c], logical)
 }
 
+fn scan(relation: &str) -> Box<PhysicalPlan> {
+    Box::new(PhysicalPlan::Scan {
+        relation: relation.into(),
+    })
+}
+
 fn fused_plan(gv: &[VarId]) -> PhysicalPlan {
     PhysicalPlan::JoinAgg {
-        left: Box::new(PhysicalPlan::Scan {
-            relation: "r1".into(),
-        }),
-        right: Box::new(PhysicalPlan::Scan {
-            relation: "r2".into(),
-        }),
+        left: scan("r1"),
+        right: scan("r2"),
         group_vars: gv.to_vec(),
     }
 }
 
-/// Fused vs unfused on the dense grid path: bit-identical output for all
-/// semirings and kernel modes at both thread counts, with the fused run
-/// reporting strictly lower peak intermediate rows and reconciled
-/// operator counts (one join plus one group-by).
+/// The VE+ triangle r1(a,b), r2(b,c), r3(c,a) over complete `d`-value
+/// grids, marginalized onto `a`: eliminating `b` joins two d²-cell grids
+/// into a d³-cell intermediate — the kernel-bound shape where fusion
+/// lowers the peak from d³ to d² rows. Returns the store and the
+/// unfused (all-dense) and fused plans.
+fn triangle_fixture(sr: SemiringKind, d: u64) -> (RelationStore, PhysicalPlan, PhysicalPlan) {
+    let mut cat = Catalog::new();
+    let a = cat.add_var("a", d).unwrap();
+    let b = cat.add_var("b", d).unwrap();
+    let c = cat.add_var("c", d).unwrap();
+    let mut store = RelationStore::new();
+    store.insert(gen_rel("r1", vec![a, b], &[d, d], 1.0, 6, sr));
+    store.insert(gen_rel("r2", vec![b, c], &[d, d], 1.0, 7, sr));
+    store.insert(gen_rel("r3", vec![c, a], &[d, d], 1.0, 8, sr));
+    let logical = Plan::group_by(
+        Plan::join(
+            Plan::group_by(Plan::join(Plan::scan("r1"), Plan::scan("r2")), vec![a, c]),
+            Plan::scan("r3"),
+        ),
+        vec![a],
+    );
+    let unfused = PhysicalPlan::from_logical(&logical, &mut |_, _| JoinAlgo::Dense, &mut |_, _| {
+        AggAlgo::DenseAgg
+    });
+    let fused = PhysicalPlan::JoinAgg {
+        left: Box::new(PhysicalPlan::JoinAgg {
+            left: scan("r1"),
+            right: scan("r2"),
+            group_vars: vec![a, c],
+        }),
+        right: scan("r3"),
+        group_vars: vec![a],
+    };
+    (store, unfused, fused)
+}
+
+/// Fused vs unfused on the dense grid path — the single elimination step
+/// and the VE+ triangle: bit-identical output for all semirings at both
+/// thread counts, with the fused run reporting strictly lower peak
+/// intermediate rows and reconciled operator counts (one join plus one
+/// group-by per fused node).
 #[test]
 fn fused_dense_matches_unfused_bitwise_and_lowers_peak() {
     for sr in SemiringKind::ALL {
         let (store, vars, logical) = fused_fixture(sr);
-        let gv = [vars[0]];
-        let unfused = PhysicalPlan::from_logical(
-            &logical,
-            &mut |_, _| JoinAlgo::Dense,
-            &mut |_, _| AggAlgo::DenseAgg,
+        let step = (
+            store,
+            PhysicalPlan::from_logical(&logical, &mut |_, _| JoinAlgo::Dense, &mut |_, _| {
+                AggAlgo::DenseAgg
+            }),
+            fused_plan(&[vars[0]]),
+            1,
         );
-        let fused = fused_plan(&gv);
-        let exec = Executor::new(&store, sr);
-        for kernel in KERNELS {
+        let (tstore, tunfused, tfused) = triangle_fixture(sr, 20);
+        for (store, unfused, fused, nodes) in [step, (tstore, tunfused, tfused, 2)] {
+            let exec = Executor::new(&store, sr);
             for t in THREADS {
                 let mk = || {
                     ExecContext::new(sr)
-                        .with_dense(DenseMode::On)
-                        .with_kernel(kernel)
+                        .with_repr(ReprMode::Dense)
                         .with_threads(t)
                 };
                 let mut ucx = mk();
@@ -263,21 +261,22 @@ fn fused_dense_matches_unfused_bitwise_and_lowers_peak() {
                 assert_eq!(
                     bits(&want),
                     bits(&got),
-                    "fused dense diverged: sr {sr:?} kernel {kernel:?} threads {t}"
+                    "fused dense diverged: sr {sr:?} nodes {nodes} threads {t}"
                 );
                 let (us, fs) = (ucx.take_stats(), fcx.take_stats());
-                assert_eq!(fs.fused_join_aggs, 1, "sr {sr:?}");
+                assert_eq!(fs.fused_join_aggs, nodes, "sr {sr:?}");
                 assert_eq!(us.fused_join_aggs, 0);
                 // The fused operator accounts as one join *plus* one
                 // group-by, so the counters reconcile with the unfused run.
                 assert_eq!(fs.joins, us.joins, "sr {sr:?}");
                 assert_eq!(fs.group_bys, us.group_bys, "sr {sr:?}");
-                assert_eq!(fs.dense_joins, 1, "sr {sr:?}");
-                assert_eq!(fs.dense_group_bys, 1, "sr {sr:?}");
-                // It never materializes the 512-cell join intermediate.
+                assert_eq!(fs.dense_joins, nodes, "sr {sr:?}");
+                assert_eq!(fs.dense_group_bys, nodes, "sr {sr:?}");
+                // It never materializes the join intermediate (512 cells
+                // for the single step, d³ = 8000 for the triangle).
                 assert!(
                     fs.max_intermediate_rows < us.max_intermediate_rows,
-                    "fused peak {} !< unfused peak {}: sr {sr:?}",
+                    "fused peak {} !< unfused peak {}: sr {sr:?} nodes {nodes}",
                     fs.max_intermediate_rows,
                     us.max_intermediate_rows
                 );
@@ -286,7 +285,7 @@ fn fused_dense_matches_unfused_bitwise_and_lowers_peak() {
     }
 }
 
-/// Fused vs unfused on the hash fallback (dense off): same bit-identity,
+/// Fused vs unfused on the hash fallback (rows pinned): same bit-identity,
 /// peak, and reconciliation guarantees, for every semiring.
 #[test]
 fn fused_hash_fallback_matches_hash_pipeline_bitwise() {
@@ -296,7 +295,7 @@ fn fused_hash_fallback_matches_hash_pipeline_bitwise() {
         let unfused = PhysicalPlan::default_hash(&logical);
         let fused = fused_plan(&gv);
         let exec = Executor::new(&store, sr);
-        let mk = || ExecContext::new(sr).with_dense(DenseMode::Off).with_repr(ReprMode::Off);
+        let mk = || ExecContext::new(sr).with_repr(ReprMode::Rows);
         let mut ucx = mk();
         let want = exec.execute_physical_in(&mut ucx, &unfused).unwrap();
         let mut fcx = mk();
@@ -315,17 +314,16 @@ fn fused_hash_fallback_matches_hash_pipeline_bitwise() {
     }
 }
 
-/// The fused span carries `fused=true` and the kernel tag, and its row
-/// accounting reconciles with the executed result — what `EXPLAIN
-/// ANALYZE` and the metrics pipeline read.
+/// The fused span carries `fused=true`, and its row accounting
+/// reconciles with the executed result — what `EXPLAIN ANALYZE` and the
+/// metrics pipeline read.
 #[test]
-fn fused_span_reports_kernel_and_reconciles() {
+fn fused_span_reports_fusion_and_reconciles() {
     let sr = SemiringKind::SumProduct;
     let (store, vars, _) = fused_fixture(sr);
     let gv = [vars[0]];
     let mut cx = ExecContext::new(sr)
-        .with_dense(DenseMode::On)
-        .with_kernel(KernelMode::Chunked)
+        .with_repr(ReprMode::Dense)
         .with_trace(TraceLevel::Spans);
     let out = Executor::new(&store, sr)
         .execute_physical_in(&mut cx, &fused_plan(&gv))
@@ -337,7 +335,6 @@ fn fused_span_reports_kernel_and_reconciles() {
         if span.fused {
             fused_spans += 1;
             assert_eq!(span.kind, SpanKind::GroupBy);
-            assert_eq!(span.kernel, Some("chunked"), "fused dense span is tagged");
             assert_eq!(span.rows_out, out.len() as u64, "span rows match the result");
         }
     });
@@ -346,18 +343,18 @@ fn fused_span_reports_kernel_and_reconciles() {
     assert_eq!(stats.kernel_chunked_ops, 1);
     let rendered = trace.render();
     assert!(
-        rendered.contains("fused=true") && rendered.contains("kernel=chunked"),
-        "render surfaces the tags:\n{rendered}"
+        rendered.contains("fused=true"),
+        "render surfaces the tag:\n{rendered}"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random measures and random support holes: neither the kernel mode
-    /// nor fusion ever changes the answer, under either representation.
+    /// Random measures and random support holes: neither the
+    /// representation nor fusion ever changes the answer.
     #[test]
-    fn kernel_and_fusion_never_change_answers(
+    fn repr_and_fusion_never_change_answers(
         m1 in proptest::collection::vec(0u8..10, 16),
         m2 in proptest::collection::vec(0u8..10, 16),
         hole_picks in proptest::collection::vec(0usize..16, 0..6),
@@ -390,15 +387,13 @@ proptest! {
         let logical = Plan::group_by(Plan::join(Plan::scan("r1"), Plan::scan("r2")), vec![a]);
         let exec = Executor::new(&store, sr);
         let (want, _) = exec.execute_physical(&PhysicalPlan::default_hash(&logical)).unwrap();
-        for dense in DENSES {
-            for kernel in KERNELS {
-                let mut cx = ExecContext::new(sr).with_dense(dense).with_kernel(kernel);
-                let got = exec.execute_physical_in(&mut cx, &fused_plan(&[a])).unwrap();
-                prop_assert!(
-                    want.function_eq_in(&got, sr),
-                    "sr {sr:?} dense {dense:?} kernel {kernel:?} holes {holes:?}"
-                );
-            }
+        for repr in REPRS {
+            let mut cx = ExecContext::new(sr).with_repr(repr);
+            let got = exec.execute_physical_in(&mut cx, &fused_plan(&[a])).unwrap();
+            prop_assert!(
+                want.function_eq_in(&got, sr),
+                "sr {sr:?} repr {repr:?} holes {holes:?}"
+            );
         }
     }
 }

@@ -63,20 +63,58 @@ fn rels(sr: SemiringKind, m1: &[u8], m2: &[u8]) -> (FunctionalRelation, Function
     (r1, r2, [a, b, c])
 }
 
+/// Sparse random l(x, y) and r(y, z) over wide domains (2^10 per
+/// variable, 1024 draws a side): the shape of the large parallel join
+/// baseline, where most keys are absent and the join output has hundreds
+/// of groups on `y`.
+fn wide_sparse(sr: SemiringKind) -> (FunctionalRelation, FunctionalRelation, [VarId; 3]) {
+    let mut cat = Catalog::new();
+    let x = cat.add_var("x", 1 << 10).unwrap();
+    let y = cat.add_var("y", 1 << 10).unwrap();
+    let z = cat.add_var("z", 1 << 10).unwrap();
+    let draw = |name: &str, vars: Vec<VarId>, doms: [u64; 2], seed: u64| {
+        let mut state = seed;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let rows: std::collections::BTreeMap<Vec<u32>, f64> = (0..1024)
+            .map(|_| {
+                let row = vec![(next() % doms[0]) as u32, (next() % doms[1]) as u32];
+                let m = if sr == SemiringKind::BoolOrAnd {
+                    (next() % 2) as f64
+                } else {
+                    (next() % 9 + 1) as f64 / 4.0
+                };
+                (row, m)
+            })
+            .collect();
+        FunctionalRelation::from_rows(name, Schema::new(vars).unwrap(), rows).unwrap()
+    };
+    let l = draw("l", vec![x, y], [1 << 10, 1 << 10], 0x9E37_79B9_7F4A_7C15);
+    let r = draw("r", vec![y, z], [1 << 10, 1 << 10], 0xD1B5_4A32_D192_ED03);
+    (l, r, [x, y, z])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Parallel join and group-by are bit-identical to the sequential
     /// operators for every semiring at every thread count, including
-    /// partition counts that exceed the row count.
+    /// partition counts that exceed the row count — on the small complete
+    /// fixture and on the wide sparse one.
     #[test]
     fn parallel_operators_match_sequential(
         m1 in proptest::collection::vec(0u8..10, 9),
         m2 in proptest::collection::vec(0u8..10, 9),
         partitions in 2usize..16,
     ) {
-        for sr in SEMIRINGS {
-            let (r1, r2, [_, b, _]) = rels(sr, &m1, &m2);
+        for (sr, (r1, r2, [_, b, _])) in SEMIRINGS
+            .into_iter()
+            .flat_map(|sr| [(sr, rels(sr, &m1, &m2)), (sr, wide_sparse(sr))])
+        {
             let want_join = ops::product_join(&mut ExecContext::new(sr), &r1, &r2).unwrap();
             for t in THREADS {
                 let mut cx = ExecContext::new(sr);

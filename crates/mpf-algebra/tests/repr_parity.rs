@@ -1,28 +1,28 @@
-//! Representation parity: whatever `MPF_REPR` / `MPF_DENSE` select —
-//! row-major hash, CSR sparse tensor, or dense odometer — answers are the
-//! same function, for every semiring, at every density band, at every
-//! thread count. Modes are pinned on the [`ExecContext`] rather than
-//! through the environment (tests share a process; the env vars are read
-//! once per context build), which is also why CI runs this suite under
-//! `MPF_REPR=off|sparse|auto` × `MPF_DENSE=off|auto`: the explicit-mode
-//! tests must hold either way.
+//! Representation parity: whatever [`ReprMode`] selects — row-major hash,
+//! CSR sparse tensor, dense odometer, or the cost-based choice among them
+//! — answers are the same function, for every semiring, at every density
+//! band, at every thread count. Modes are pinned on the [`ExecContext`].
 //!
 //! The density sweep mirrors the representation lattice the planner works
 //! with: 0.005 (below the sparse auto floor), 0.05 and 0.3 (the sparse
 //! band), 0.9 (dense territory).
 
 use mpf_algebra::{
-    ops, sparse, AggAlgo, DenseMode, ExecContext, JoinAlgo, PhysicalPlan, Plan, RelationStore,
-    ReprMode, Executor,
+    ops, sparse, AggAlgo, ExecContext, Executor, JoinAlgo, PhysicalPlan, Plan, RelationStore,
+    ReprMode,
 };
 use mpf_semiring::SemiringKind;
-use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
+use mpf_storage::{Catalog, Factor, FunctionalRelation, Schema, VarId};
 use proptest::prelude::*;
 
 const DENSITIES: [f64; 4] = [0.005, 0.05, 0.3, 0.9];
 const THREADS: [usize; 2] = [1, 4];
-const REPRS: [ReprMode; 3] = [ReprMode::Off, ReprMode::Sparse, ReprMode::Auto];
-const DENSES: [DenseMode; 2] = [DenseMode::Off, DenseMode::Auto];
+const REPRS: [ReprMode; 4] = [
+    ReprMode::Rows,
+    ReprMode::Sparse,
+    ReprMode::Dense,
+    ReprMode::Auto,
+];
 
 /// Deterministic per-cell inclusion decision (split-mix style hash), so a
 /// (density, salt) pair always generates the same relation.
@@ -85,21 +85,17 @@ fn chain(sr: SemiringKind, density: f64) -> ([FunctionalRelation; 3], [VarId; 4]
 }
 
 /// A variable-elimination pipeline (eliminate b, then c, then marginalize
-/// onto a) under one pinned mode triple. Every operator dispatches through
-/// the three-way `sparse::join_auto` / `sparse::agg_auto` selection.
+/// onto a) under one pinned mode. Every operator dispatches through the
+/// three-way `sparse::join_auto` / `sparse::agg_auto` selection.
 fn ve_chain(
     sr: SemiringKind,
     rels: &[FunctionalRelation; 3],
     vars: &[VarId; 4],
     repr: ReprMode,
-    dense: DenseMode,
     threads: usize,
 ) -> (FunctionalRelation, mpf_algebra::ExecStats) {
     let [a, _, c, d] = *vars;
-    let mut cx = ExecContext::new(sr)
-        .with_repr(repr)
-        .with_dense(dense)
-        .with_threads(threads);
+    let mut cx = ExecContext::new(sr).with_repr(repr).with_threads(threads);
     let t1 = sparse::join_auto(&mut cx, &rels[0], &rels[1]).unwrap();
     let t1 = sparse::agg_auto(&mut cx, &t1, &[a, c]).unwrap();
     let t2 = sparse::join_auto(&mut cx, &t1, &rels[2]).unwrap();
@@ -108,42 +104,70 @@ fn ve_chain(
     (out, *cx.stats())
 }
 
+/// The same chain carried as [`Factor`]s (`join_factor` / `agg_factor`,
+/// materialized once at the end) — the inference layer's path, where
+/// sparse intermediates stay CSR tensors between steps.
+fn factor_chain(
+    sr: SemiringKind,
+    rels: &[FunctionalRelation; 3],
+    vars: &[VarId; 4],
+    repr: ReprMode,
+    threads: usize,
+) -> FunctionalRelation {
+    let [a, _, c, d] = *vars;
+    let mut cx = ExecContext::new(sr).with_repr(repr).with_threads(threads);
+    let [r1, r2, r3] = rels.clone().map(Factor::from);
+    let t1 = sparse::join_factor(&mut cx, &r1, &r2).unwrap();
+    let t1 = sparse::agg_factor(&mut cx, &t1, &[a, c]).unwrap();
+    let t2 = sparse::join_factor(&mut cx, &t1, &r3).unwrap();
+    let t2 = sparse::agg_factor(&mut cx, &t2, &[a, d]).unwrap();
+    let out = sparse::agg_factor(&mut cx, &t2, &[a]).unwrap();
+    sparse::materialize(&mut cx, out).unwrap()
+}
+
 /// The full mode matrix answers identically at every density band, for
-/// every semiring, at every thread count — and the forced-sparse runs
-/// actually take the sparse kernels whenever any work exists.
+/// every semiring, at every thread count — pinned modes never run the
+/// other representations' kernels, and the pinned-sparse runs actually
+/// take the sparse kernels whenever any work exists.
 #[test]
 fn density_sweep_mode_matrix_parity() {
     for density in DENSITIES {
         for sr in SemiringKind::ALL {
             let (rels, vars) = chain(sr, density);
-            let (baseline, _) =
-                ve_chain(sr, &rels, &vars, ReprMode::Off, DenseMode::Off, 1);
+            let (baseline, _) = ve_chain(sr, &rels, &vars, ReprMode::Rows, 1);
             for repr in REPRS {
-                for dense in DENSES {
-                    for t in THREADS {
-                        let (got, stats) = ve_chain(sr, &rels, &vars, repr, dense, t);
-                        assert!(
-                            baseline.function_eq_in(&got, sr),
-                            "diverged: density {density} sr {sr:?} repr {repr:?} \
-                             dense {dense:?} threads {t}"
+                for t in THREADS {
+                    let (got, stats) = ve_chain(sr, &rels, &vars, repr, t);
+                    assert!(
+                        baseline.function_eq_in(&got, sr),
+                        "diverged: density {density} sr {sr:?} repr {repr:?} threads {t}"
+                    );
+                    let factors = factor_chain(sr, &rels, &vars, repr, t);
+                    assert!(
+                        baseline.function_eq_in(&factors, sr),
+                        "factor chain diverged: density {density} sr {sr:?} repr {repr:?} \
+                         threads {t}"
+                    );
+                    if !repr.allows_sparse() {
+                        assert_eq!(
+                            stats.sparse_joins + stats.sparse_group_bys,
+                            0,
+                            "{repr:?} never runs sparse: sr {sr:?}"
                         );
-                        if repr == ReprMode::Off {
-                            assert_eq!(
-                                stats.sparse_joins + stats.sparse_group_bys,
-                                0,
-                                "off means off: sr {sr:?}"
-                            );
-                        }
-                        if repr == ReprMode::Sparse
-                            && dense == DenseMode::Off
-                            && rels.iter().all(|r| !r.is_empty())
-                        {
-                            assert!(
-                                stats.sparse_joins + stats.sparse_group_bys > 0,
-                                "forced sparse ran no sparse kernels: density \
-                                 {density} sr {sr:?} threads {t}"
-                            );
-                        }
+                    }
+                    if !repr.allows_dense() {
+                        assert_eq!(
+                            stats.dense_joins + stats.dense_group_bys,
+                            0,
+                            "{repr:?} never runs dense: sr {sr:?}"
+                        );
+                    }
+                    if repr == ReprMode::Sparse && rels.iter().all(|r| !r.is_empty()) {
+                        assert!(
+                            stats.sparse_joins + stats.sparse_group_bys > 0,
+                            "pinned sparse ran no sparse kernels: density \
+                             {density} sr {sr:?} threads {t}"
+                        );
                     }
                 }
             }
@@ -220,15 +244,13 @@ proptest! {
         let want_join = ops::product_join(&mut ExecContext::new(sr), &r1, &r2).unwrap();
         let want = ops::group_by(&mut ExecContext::new(sr), &want_join, &gv).unwrap();
         for repr in REPRS {
-            for dense in DENSES {
-                let mut cx = ExecContext::new(sr).with_repr(repr).with_dense(dense);
-                let j = sparse::join_auto(&mut cx, &r1, &r2).unwrap();
-                let g = sparse::agg_auto(&mut cx, &j, &gv).unwrap();
-                prop_assert!(
-                    want.function_eq_in(&g, sr),
-                    "sr {sr:?} repr {repr:?} dense {dense:?} holes {holes:?}"
-                );
-            }
+            let mut cx = ExecContext::new(sr).with_repr(repr);
+            let j = sparse::join_auto(&mut cx, &r1, &r2).unwrap();
+            let g = sparse::agg_auto(&mut cx, &j, &gv).unwrap();
+            prop_assert!(
+                want.function_eq_in(&g, sr),
+                "sr {sr:?} repr {repr:?} holes {holes:?}"
+            );
         }
     }
 }

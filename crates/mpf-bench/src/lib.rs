@@ -121,12 +121,6 @@ impl Args {
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     }
-
-    /// Whether the bare flag `--name` is present.
-    pub fn has(&self, name: &str) -> bool {
-        let flag = format!("--{name}");
-        self.argv.iter().any(|a| a == &flag)
-    }
 }
 
 /// Format a duration in milliseconds with 3 decimals.

@@ -3,7 +3,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use mpf_algebra::{
-    fault, AggAlgo, DenseMode, ExecContext, ExecLimits, ExecStats, Executor, MetricsRegistry,
+    fault, AggAlgo, ExecContext, ExecLimits, ExecStats, Executor, MetricsRegistry,
     PhysicalPlan, Plan, RelationProvider, RelationStore, ReprMode, TraceLevel,
 };
 use mpf_infer::VeCache;
@@ -34,9 +34,11 @@ pub struct MpfView {
 }
 
 /// A hypothetical override for what-if queries (the alternate-measure and
-/// alternate-domain forms of Section 3.1).
+/// alternate-domain forms of Section 3.1), built through
+/// [`Scenario::measure`](crate::Scenario::measure) and
+/// [`Scenario::move_domain`](crate::Scenario::move_domain).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Override {
+pub(crate) enum Override {
     /// Hypothetically change the measure of one row of a base relation
     /// ("what if part p1 was a different price?").
     Measure {
@@ -66,7 +68,7 @@ impl Override {
     /// The base relation this override touches — the key the scenario
     /// engine partitions plans by (subtrees scanning only untouched
     /// relations become shared trunks).
-    pub fn relation(&self) -> &str {
+    pub(crate) fn relation(&self) -> &str {
         match self {
             Override::Measure { relation, .. } | Override::Domain { relation, .. } => relation,
         }
@@ -156,11 +158,8 @@ pub struct Database {
     limits: ExecLimits,
     /// Strategy fallback chain for recoverable query failures.
     fallback: FallbackPolicy,
-    /// Dense-kernel selection mode handed to physical planning
-    /// (`MPF_DENSE` by default).
-    dense: DenseMode,
-    /// Sparse-tensor selection mode handed to physical planning
-    /// (`MPF_REPR` by default).
+    /// Representation selection mode handed to physical planning and
+    /// execution ([`ReprMode::Auto`] unless pinned).
     repr: ReprMode,
     /// Optional metrics sink fed by every [`Database::run`] call.
     metrics: Option<Arc<MetricsRegistry>>,
@@ -188,7 +187,6 @@ impl Clone for Database {
             cost_model: self.cost_model,
             limits: self.limits.clone(),
             fallback: self.fallback.clone(),
-            dense: self.dense,
             repr: self.repr,
             metrics: self.metrics.clone(),
             view_cache: self.view_cache.clone(),
@@ -211,23 +209,20 @@ impl Database {
             cost_model: CostModel::Io,
             limits: ExecLimits::none(),
             fallback: FallbackPolicy::default(),
-            dense: DenseMode::from_env(),
-            repr: ReprMode::from_env(),
+            repr: ReprMode::Auto,
             metrics: None,
             view_cache: (cache_bytes > 0).then(|| Arc::new(ViewCache::new(cache_bytes))),
         }
     }
 
     /// An empty database configured from the environment knobs
-    /// (`MPF_THREADS`, `MPF_DENSE`, `MPF_REPR`, `MPF_KERNEL`,
-    /// `MPF_CACHE_BYTES`) with *strict* parsing: a malformed
-    /// value is a typed [`EngineError::Config`] instead of the silent
-    /// fallback [`Database::new`] applies. Services should start here.
+    /// (`MPF_THREADS`, `MPF_CACHE_BYTES`) with *strict* parsing: a
+    /// malformed value is a typed [`EngineError::Config`] instead of the
+    /// silent fallback [`Database::new`] applies. Services should start
+    /// here.
     pub fn from_env() -> Result<Database> {
         let knobs = mpf_algebra::config::validate_env().map_err(EngineError::Config)?;
         let mut db = Database::new();
-        db.dense = knobs.dense.unwrap_or_default();
-        db.repr = knobs.repr.unwrap_or_default();
         if let Some(threads) = knobs.threads {
             db.limits = db.limits.clone().with_threads(threads);
         }
@@ -300,26 +295,14 @@ impl Database {
         self
     }
 
-    /// Set the dense-kernel selection mode for physical planning,
-    /// overriding the `MPF_DENSE` environment default.
-    pub fn with_dense(mut self, mode: DenseMode) -> Database {
-        self.dense = mode;
-        self
-    }
-
-    /// The dense-kernel selection mode physical planning runs under.
-    pub fn dense(&self) -> DenseMode {
-        self.dense
-    }
-
-    /// Set the sparse-tensor selection mode for physical planning,
-    /// overriding the `MPF_REPR` environment default.
+    /// Pin the representation selection mode for physical planning and
+    /// execution ([`ReprMode::Auto`], the cost-based choice, by default).
     pub fn with_repr(mut self, mode: ReprMode) -> Database {
         self.repr = mode;
         self
     }
 
-    /// The sparse-tensor selection mode physical planning runs under.
+    /// The representation selection mode queries run under.
     pub fn repr(&self) -> ReprMode {
         self.repr
     }
@@ -491,7 +474,8 @@ impl Database {
 
     /// Update the measure of one existing row of a base relation,
     /// returning the previous measure. This is the real (non-
-    /// hypothetical) counterpart of [`Override::Measure`]: the change
+    /// hypothetical) counterpart of
+    /// [`Scenario::measure`](crate::Scenario::measure): the change
     /// installs a new snapshot atomically, and cached view trees over
     /// the relation are patched forward with the paper's update
     /// semijoin where the semiring admits division (evicted where it
@@ -611,7 +595,6 @@ impl Database {
                     m.add("engine.repr.sparse_converts", a.stats.sparse_converts);
                     m.add("engine.repr.dense_converts", a.stats.dense_converts);
                     m.add("engine.kernel.chunked_ops", a.stats.kernel_chunked_ops);
-                    m.add("engine.kernel.scalar_ops", a.stats.kernel_scalar_ops);
                     m.add("engine.kernel.fused_join_aggs", a.stats.fused_join_aggs);
                     m.observe("engine.optimize_us", a.optimize_time);
                     m.observe("engine.execute_us", a.execute_time);
@@ -751,7 +734,6 @@ impl Database {
             })
             .collect::<Result<_>>()?;
         let mut cx = ExecContext::with_limits(plan.key.semiring, self.limits.clone())
-            .with_dense(self.dense)
             .with_repr(self.repr);
         Ok(VeCache::build_in(&mut cx, &rels, None)?)
     }
@@ -769,7 +751,6 @@ impl Database {
         let q = &req.query;
         let limits = req.limits.clone().unwrap_or_else(|| self.limits.clone());
         let mut cx = ExecContext::with_limits(tree.semiring(), limits)
-            .with_dense(self.dense)
             .with_repr(self.repr)
             .with_trace(req.trace);
         let t1 = Instant::now();
@@ -852,7 +833,6 @@ impl Database {
             .collect::<Result<_>>()?;
         let limits = req.limits.clone().unwrap_or_else(|| self.limits.clone());
         let mut cx = ExecContext::with_limits(cache.semiring(), limits)
-            .with_dense(self.dense)
             .with_repr(self.repr)
             .with_trace(req.trace);
         let t1 = Instant::now();
@@ -961,14 +941,12 @@ impl Database {
             &plan,
             PhysicalConfig::default()
                 .with_threads(limits.effective_threads())
-                .with_dense(self.dense)
                 .with_repr(self.repr),
         );
         let optimize_time = t0.elapsed();
 
         let exec = Executor::new(store, sr);
         let mut cx = ExecContext::with_limits(sr, limits.clone())
-            .with_dense(self.dense)
             .with_repr(self.repr)
             .with_trace(req.trace);
         let t1 = Instant::now();
@@ -1064,7 +1042,6 @@ impl Database {
             &plan,
             PhysicalConfig::default()
                 .with_threads(limits.effective_threads())
-                .with_dense(self.dense)
                 .with_repr(self.repr),
         );
         let catalog = &snap.catalog;
@@ -1307,7 +1284,6 @@ impl Database {
             })
             .collect::<Result<_>>()?;
         let mut cx = ExecContext::with_limits(sr, self.limits.clone())
-            .with_dense(self.dense)
             .with_repr(self.repr);
         Ok(VeCache::build_in(&mut cx, &rels, order)?)
     }
@@ -1753,13 +1729,11 @@ mod tests {
     #[test]
     fn sparse_repr_agrees_and_is_counted() {
         let reference = tiny_db()
-            .with_dense(DenseMode::Off)
-            .with_repr(ReprMode::Off)
+            .with_repr(ReprMode::Rows)
             .run(Query::on("v").group_by(["c"]))
             .unwrap();
         let metrics = Arc::new(MetricsRegistry::new());
         let db = tiny_db()
-            .with_dense(DenseMode::Off)
             .with_repr(ReprMode::Sparse)
             .with_metrics(Arc::clone(&metrics));
         let ans = db.run(Query::on("v").group_by(["c"])).unwrap();
@@ -1775,14 +1749,12 @@ mod tests {
     #[test]
     fn fused_dense_kernels_agree_and_are_counted() {
         let reference = tiny_db()
-            .with_dense(DenseMode::Off)
-            .with_repr(ReprMode::Off)
+            .with_repr(ReprMode::Rows)
             .run(Query::on("v").group_by(["c"]))
             .unwrap();
         let metrics = Arc::new(MetricsRegistry::new());
         let db = tiny_db()
-            .with_dense(DenseMode::On)
-            .with_repr(ReprMode::Off)
+            .with_repr(ReprMode::Dense)
             .with_metrics(Arc::clone(&metrics));
         let ans = db.run(Query::on("v").group_by(["c"])).unwrap();
         assert!(reference.relation.function_eq(&ans.relation));
@@ -1790,19 +1762,14 @@ mod tests {
             ans.stats.fused_join_aggs > 0,
             "dense join feeding dense agg runs the fused operator"
         );
-        assert!(
-            ans.stats.kernel_chunked_ops > 0,
-            "chunked is the default kernel mode"
-        );
-        assert_eq!(ans.stats.kernel_scalar_ops, 0);
+        assert!(ans.stats.kernel_chunked_ops > 0, "the chunked kernels ran");
         assert!(metrics.counter("engine.kernel.fused_join_aggs") > 0);
         assert!(metrics.counter("engine.kernel.chunked_ops") > 0);
-        assert_eq!(metrics.counter("engine.kernel.scalar_ops"), 0);
     }
 
     #[test]
     fn explain_analyze_shows_repr() {
-        let db = tiny_db().with_dense(DenseMode::Off).with_repr(ReprMode::Sparse);
+        let db = tiny_db().with_repr(ReprMode::Sparse);
         let text = db
             .explain_analyze(QueryRequest::on("v").group_by(["c"]).strategy(Strategy::Cs))
             .unwrap();
@@ -1828,8 +1795,7 @@ mod tests {
         assert!(text.contains("estimated cost"));
         // With the dense kernels off the unfused pair renders as before.
         let unfused = tiny_db()
-            .with_dense(DenseMode::Off)
-            .with_repr(ReprMode::Off)
+            .with_repr(ReprMode::Rows)
             .describe(Query::on("v").group_by(["c"]).strategy(Strategy::CsPlusLinear))
             .unwrap();
         assert!(unfused.contains("GroupBy [c]"), "{unfused}");

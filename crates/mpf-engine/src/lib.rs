@@ -59,7 +59,8 @@ mod scenario;
 mod snapshot;
 mod viewcache;
 
-pub use database::{Database, FallbackPolicy, MpfView, Override, SqlOutcome};
+pub(crate) use database::Override;
+pub use database::{Database, FallbackPolicy, MpfView, SqlOutcome};
 pub use error::EngineError;
 pub use parser::{Statement, StrategySpec};
 pub use query::{Answer, CacheServed, Query, RangePredicate, Strategy};
@@ -74,7 +75,7 @@ pub use viewcache::{CacheEvent, CacheKey, ViewCache};
 // a `QueryRequest`, `Database::with_metrics`, and `Database::from_env`
 // speak in.
 pub use mpf_algebra::{
-    ConfigError, DenseMode, MetricsRegistry, ReprMode, SpanKind, TraceLevel, TraceSpan, TraceTree,
+    ConfigError, MetricsRegistry, ReprMode, SpanKind, TraceLevel, TraceSpan, TraceTree,
 };
 // `EngineError::Infer` wraps it, so consumers matching engine errors
 // (e.g. the service's wire classification) must be able to name it.

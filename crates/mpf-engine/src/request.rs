@@ -9,26 +9,19 @@
 //! database-default limits, no scenarios, and tracing off, so
 //! `db.run(&q)` stays as short as the old `db.query(&q)`.
 //!
-//! The what-if unit is the named [`Scenario`] (any number of
-//! [`Override`]s plus optional evidence). A request carrying **one**
-//! scenario still flows through [`Database::run`](crate::Database::run);
-//! a request carrying a whole [`ScenarioSet`] goes to
+//! The what-if unit is the named [`Scenario`] (any number of measure and
+//! domain overrides plus optional evidence). A request carrying **one**
+//! scenario flows through [`Database::run`](crate::Database::run); a
+//! request carrying a whole [`ScenarioSet`] goes to
 //! [`Database::run_scenarios`](crate::Database::run_scenarios), which
-//! evaluates the set as one batch with shared-subplan fan-out. The old
-//! bare-`Override` builders ([`QueryRequest::hypothetical`],
-//! [`QueryRequest::overrides`]) remain as deprecated shims that
-//! accumulate into a single ad-hoc scenario.
+//! evaluates the set as one batch with shared-subplan fan-out.
 
 use mpf_algebra::{ExecLimits, TraceLevel};
 use mpf_infer::VeCache;
 use mpf_semiring::Aggregate;
 use mpf_storage::Value;
 
-use crate::{Override, Query, RangePredicate, Scenario, ScenarioSet, Strategy};
-
-/// The name under which the deprecated bare-`Override` builders
-/// accumulate their implicit scenario.
-pub(crate) const ADHOC_SCENARIO: &str = "hypothetical";
+use crate::{Query, RangePredicate, Scenario, ScenarioSet, Strategy};
 
 /// A fully-specified query submission: the query plus the run options the
 /// old `Database` method family passed as separate arguments.
@@ -112,46 +105,6 @@ impl<'a> QueryRequest<'a> {
     pub fn scenario_set(mut self, set: impl Into<ScenarioSet>) -> Self {
         self.scenarios.items.extend(set.into().items);
         self
-    }
-
-    /// Apply hypothetical overrides to copies of the affected base
-    /// relations before evaluation (the Section 3.1 alternate-measure /
-    /// alternate-domain what-if forms). Appends to earlier calls.
-    #[deprecated(
-        since = "0.1.0",
-        note = "overrides now live on named scenarios: use `scenario(Scenario::named(..).with(..))`"
-    )]
-    pub fn overrides(mut self, overrides: impl IntoIterator<Item = Override>) -> Self {
-        for ov in overrides {
-            self.push_adhoc(ov);
-        }
-        self
-    }
-
-    /// Apply one hypothetical override.
-    #[deprecated(
-        since = "0.1.0",
-        note = "overrides now live on named scenarios: use `scenario(Scenario::named(..).with(..))`"
-    )]
-    pub fn hypothetical(mut self, ov: Override) -> Self {
-        self.push_adhoc(ov);
-        self
-    }
-
-    /// Append an override to the single ad-hoc scenario the deprecated
-    /// builders share, creating it on first use — so chained
-    /// `hypothetical` calls compose into one scenario exactly as they
-    /// composed into one override list.
-    fn push_adhoc(&mut self, ov: Override) {
-        match self
-            .scenarios
-            .items
-            .iter_mut()
-            .find(|sc| sc.name() == ADHOC_SCENARIO)
-        {
-            Some(sc) => sc.push_override(ov),
-            None => self.scenarios.push(Scenario::named(ADHOC_SCENARIO).with(ov)),
-        }
     }
 
     /// Run under these resource budgets instead of the database's
@@ -240,37 +193,5 @@ mod tests {
         assert_eq!(req.query(), &q);
         assert_eq!(req.trace, TraceLevel::Off);
         assert!(req.scenarios.is_empty() && req.limits.is_none());
-    }
-
-    /// Pins the deprecated shims' delegation: chained `hypothetical` /
-    /// `overrides` calls accumulate into ONE ad-hoc scenario (so a
-    /// migrated caller sees identical single-scenario semantics), and
-    /// they compose with explicitly named scenarios without touching
-    /// them.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_one_adhoc_scenario() {
-        let ov = |m: f64| Override::Measure {
-            relation: "r".into(),
-            row: vec![0],
-            measure: m,
-        };
-        let req = QueryRequest::on("v")
-            .group_by(["a"])
-            .hypothetical(ov(1.0))
-            .overrides([ov(2.0), ov(3.0)])
-            .hypothetical(ov(4.0));
-        assert_eq!(req.scenarios().len(), 1);
-        let sc = &req.scenarios().as_slice()[0];
-        assert_eq!(sc.name(), ADHOC_SCENARIO);
-        assert_eq!(sc.overrides().len(), 4);
-        assert!(sc.evidence_set().is_empty());
-
-        let req = QueryRequest::on("v")
-            .scenario(Scenario::named("explicit").with(ov(9.0)))
-            .hypothetical(ov(1.0));
-        assert_eq!(req.scenarios().len(), 2);
-        assert_eq!(req.scenarios().as_slice()[0].name(), "explicit");
-        assert_eq!(req.scenarios().as_slice()[1].overrides().len(), 1);
     }
 }

@@ -58,10 +58,11 @@ use crate::{
 
 /// A named what-if variant: the single unit of hypothetical evaluation.
 ///
-/// A scenario bundles any number of [`Override`]s (alternate measures,
-/// alternate domains) with optional *evidence* assignments (`var = value`
-/// conditions, the constrained-domain query form), under a name the
-/// report keys results by.
+/// A scenario bundles any number of overrides (alternate measures via
+/// [`Scenario::measure`], alternate domains via
+/// [`Scenario::move_domain`]) with optional *evidence* assignments
+/// (`var = value` conditions, the constrained-domain query form), under a
+/// name the report keys results by.
 ///
 /// ```
 /// use mpf_engine::Scenario;
@@ -70,7 +71,7 @@ use crate::{
 ///     .measure("transporters", vec![1, 0], 0.0)
 ///     .evidence("wid", 2);
 /// assert_eq!(sc.name(), "t1-offline");
-/// assert_eq!(sc.overrides().len(), 1);
+/// assert_eq!(sc.evidence_set().len(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -92,7 +93,7 @@ impl Scenario {
 
     /// Add an [`Override`] (appends to earlier ones; overrides of one
     /// relation compose in order).
-    pub fn with(mut self, ov: Override) -> Scenario {
+    pub(crate) fn with(mut self, ov: Override) -> Scenario {
         self.overrides.push(ov);
         self
     }
@@ -137,19 +138,13 @@ impl Scenario {
     }
 
     /// The overrides, in application order.
-    pub fn overrides(&self) -> &[Override] {
+    pub(crate) fn overrides(&self) -> &[Override] {
         &self.overrides
     }
 
     /// The evidence assignments.
     pub fn evidence_set(&self) -> &[(String, Value)] {
         &self.evidence
-    }
-
-    /// Append an override in place (the deprecated-shim accumulation
-    /// path).
-    pub(crate) fn push_override(&mut self, ov: Override) {
-        self.overrides.push(ov);
     }
 
     /// Whether this scenario's optimizer input is identical to the
@@ -539,7 +534,6 @@ impl Database {
         // worker-token pool, so intra-scenario parallel operators and the
         // cross-scenario fan-out draw from the same allowance.
         let root = ExecContext::with_limits(sr, limits.clone())
-            .with_dense(self.dense())
             .with_repr(self.repr());
         let memo = TrunkMemo::default();
         let plans = PlanCache::default();
@@ -696,7 +690,6 @@ impl Database {
                     &plan,
                     PhysicalConfig::default()
                         .with_threads(limits.effective_threads())
-                        .with_dense(self.dense())
                         .with_repr(self.repr()),
                 );
                 let p = Arc::new(Planned {

@@ -149,7 +149,7 @@ mod faults {
     /// The relations are complete over their 2×2 grids, so the dense
     /// fast path would normally serve them without ever reaching the
     /// sparse operator fault sites (`product_join`, `group_by`); the
-    /// tests that arm those sites force `DenseMode::Off`.
+    /// tests that arm those sites pin `ReprMode::Rows`.
     fn tiny_db() -> Database {
         let db = Database::new();
         let a = db.add_var("a", 2).unwrap();
@@ -231,9 +231,7 @@ mod faults {
         fault::clear_all();
         // Hash-path pins: this arms the hash join's fault site, so the
         // dense and sparse representations must both stand down.
-        let db = tiny_db()
-            .with_dense(mpf_engine::DenseMode::Off)
-            .with_repr(mpf_engine::ReprMode::Off);
+        let db = tiny_db().with_repr(mpf_engine::ReprMode::Rows);
         fault::inject("product_join", 1);
         let ans = db.run(Query::on("v").group_by(["c"])).unwrap();
         assert_eq!(ans.fallback.len(), 1);
@@ -251,9 +249,7 @@ mod faults {
     fn fallback_answer_reports_work_of_failed_attempts() {
         let _g = lock();
         fault::clear_all();
-        let db = tiny_db()
-            .with_dense(mpf_engine::DenseMode::Off)
-            .with_repr(mpf_engine::ReprMode::Off);
+        let db = tiny_db().with_repr(mpf_engine::ReprMode::Rows);
         let q = Query::on("v").group_by(["c"]);
         let clean = db.run(&q).unwrap();
         assert!(clean.stats.rows_scanned > 0);

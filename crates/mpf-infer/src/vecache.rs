@@ -135,8 +135,8 @@ impl VeCache {
                 continue;
             }
             // Join rels(v), smallest first. The chain runs over
-            // representation-polymorphic factors: under a sparse-friendly
-            // `MPF_REPR` the intermediates stay CSR tensors between joins
+            // representation-polymorphic factors: when the context's
+            // `ReprMode` picks sparse, the intermediates stay CSR tensors between joins
             // and only materialize into rows once, for the cached table.
             let mut group = group;
             group.sort_by_key(|(f, _)| f.len());

@@ -24,7 +24,7 @@
 //! Operand sizes come from the same catalog-based estimator the join
 //! ordering used ([`estimate::plan_estimate`]).
 
-use mpf_algebra::{partitioned, AggAlgo, DenseMode, JoinAlgo, PhysicalPlan, Plan, ReprMode};
+use mpf_algebra::{partitioned, AggAlgo, JoinAlgo, PhysicalPlan, Plan, ReprMode};
 
 use crate::{estimate, OptContext};
 
@@ -48,19 +48,17 @@ pub struct PhysicalConfig {
     /// worth its partitioning pass. Small operands fit in cache whole;
     /// partitioning them only adds a copy.
     pub parallel_min_rows: f64,
-    /// Whether to consider the dense odometer kernels ([`JoinAlgo::Dense`],
-    /// [`AggAlgo::DenseAgg`]). Defaults to the `MPF_DENSE` environment
-    /// variable ([`DenseMode::from_env`]).
-    pub dense_mode: DenseMode,
+    /// Which representations to consider: the dense odometer kernels
+    /// ([`JoinAlgo::Dense`], [`AggAlgo::DenseAgg`]), the sparse-tensor
+    /// kernels ([`JoinAlgo::SparseTensor`], [`AggAlgo::SparseAgg`]), and
+    /// the row-major hash operators. [`ReprMode::Auto`] (the default)
+    /// chooses by estimated density; the other values pin one.
+    pub repr_mode: ReprMode,
     /// Minimum estimated operand density (rows over the schema's catalog
-    /// grid) before [`DenseMode::Auto`] selects a dense operator. Sparse
+    /// grid) before [`ReprMode::Auto`] selects a dense operator. Sparse
     /// operands waste grid cells; at 0.5+ the odometer kernel's
     /// per-cell cost undercuts hashing.
     pub dense_min_density: f64,
-    /// Whether to consider the sparse-tensor kernels
-    /// ([`JoinAlgo::SparseTensor`], [`AggAlgo::SparseAgg`]). Defaults to
-    /// the `MPF_REPR` environment variable ([`ReprMode::from_env`]).
-    pub repr_mode: ReprMode,
     /// Minimum estimated operand density before [`ReprMode::Auto`]
     /// selects a sparse-tensor operator. Below ~1% the sorted-merge
     /// kernel's per-side sort does not pay for itself against a hash
@@ -79,11 +77,10 @@ impl Default for PhysicalConfig {
         // PostgreSQL 8.1's default `work_mem`-sized hash operators.
         PhysicalConfig {
             memory_rows: 1_000_000.0,
-            threads: mpf_algebra::limits::default_threads(),
+            threads: mpf_algebra::config::default_threads(),
             parallel_min_rows: 32_768.0,
-            dense_mode: DenseMode::from_env(),
+            repr_mode: ReprMode::Auto,
             dense_min_density: 0.5,
-            repr_mode: ReprMode::from_env(),
             sparse_min_density: mpf_algebra::sparse::SPARSE_MIN_DENSITY,
             fuse: true,
         }
@@ -97,13 +94,7 @@ impl PhysicalConfig {
         self
     }
 
-    /// Set the dense-kernel selection mode (builder style).
-    pub fn with_dense(mut self, mode: DenseMode) -> Self {
-        self.dense_mode = mode;
-        self
-    }
-
-    /// Set the sparse-tensor selection mode (builder style).
+    /// Set the representation selection mode (builder style).
     pub fn with_repr(mut self, mode: ReprMode) -> Self {
         self.repr_mode = mode;
         self
@@ -118,16 +109,17 @@ impl PhysicalConfig {
 
 /// Whether the dense kernel should be selected for an operator whose
 /// inputs have the given (schema, rows) estimates and whose output schema
-/// grid must be materialized. `Off`: never. `On`: whenever every grid is
-/// feasible. `Auto`: additionally every input must clear the density
-/// threshold — near-complete operands are where the odometer kernel wins.
+/// grid must be materialized. `Rows`/`Sparse`: never. `Dense`: whenever
+/// every grid is feasible. `Auto`: additionally every input must clear
+/// the density threshold — near-complete operands are where the odometer
+/// kernel wins.
 fn dense_applies(
     ctx: &OptContext<'_>,
     cfg: &PhysicalConfig,
     inputs: &[(&mpf_storage::Schema, f64)],
     out_schema: &mpf_storage::Schema,
 ) -> bool {
-    if cfg.dense_mode == DenseMode::Off {
+    if !cfg.repr_mode.allows_dense() {
         return false;
     }
     if estimate::schema_density(ctx, out_schema, 0.0).is_none() {
@@ -137,7 +129,7 @@ fn dense_applies(
         match estimate::schema_density(ctx, schema, rows) {
             None => return false,
             Some(d) => {
-                if cfg.dense_mode == DenseMode::Auto && d < cfg.dense_min_density {
+                if cfg.repr_mode == ReprMode::Auto && d < cfg.dense_min_density {
                     return false;
                 }
             }
@@ -152,8 +144,8 @@ fn dense_applies(
 /// better, so sparse covers the middle band — operands too sparse to grid
 /// densely (or whose grids overflow the dense cell cap entirely) but
 /// populated enough that sorted-merge over linearized coordinates beats
-/// hashing. `Off`: never. `Sparse`: whenever the coordinate spaces are
-/// feasible. `Auto`: additionally every input must clear
+/// hashing. `Rows`/`Dense`: never. `Sparse`: whenever the coordinate
+/// spaces are feasible. `Auto`: additionally every input must clear
 /// [`PhysicalConfig::sparse_min_density`].
 fn sparse_applies(
     ctx: &OptContext<'_>,
@@ -161,7 +153,7 @@ fn sparse_applies(
     inputs: &[(&mpf_storage::Schema, f64)],
     out_schema: &mpf_storage::Schema,
 ) -> bool {
-    if cfg.repr_mode == ReprMode::Off {
+    if !cfg.repr_mode.allows_sparse() {
         return false;
     }
     if estimate::schema_density_wide(ctx, out_schema, 0.0).is_none() {
@@ -355,8 +347,7 @@ mod tests {
                 ..PhysicalConfig::default()
             }
             .with_threads(1)
-            .with_dense(DenseMode::Off)
-            .with_repr(ReprMode::Off),
+            .with_repr(ReprMode::Rows),
         );
         assert_eq!(big.sort_operator_count(), 0, "everything fits -> all hash");
         let tiny = choose_physical(
@@ -367,8 +358,7 @@ mod tests {
                 ..PhysicalConfig::default()
             }
             .with_threads(1)
-            .with_dense(DenseMode::Off)
-            .with_repr(ReprMode::Off),
+            .with_repr(ReprMode::Rows),
         );
         assert!(
             tiny.spill_operator_count() > 0,
@@ -389,8 +379,7 @@ mod tests {
             &plan,
             PhysicalConfig::default()
                 .with_threads(1)
-                .with_dense(DenseMode::Off)
-                .with_repr(ReprMode::Off),
+                .with_repr(ReprMode::Rows),
         );
         // r2 (5M rows) exceeds the default budget, but its join partner is
         // the build side, so hash join still applies everywhere except
@@ -417,10 +406,12 @@ mod tests {
         ];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
-        let cfg = PhysicalConfig::default().with_threads(1).with_repr(ReprMode::Off);
-        let off = choose_physical(&ctx, &plan, cfg.with_dense(DenseMode::Off));
-        assert_eq!(off.dense_operator_count(), 0);
-        let auto = choose_physical(&ctx, &plan, cfg.with_dense(DenseMode::Auto));
+        let cfg = PhysicalConfig::default().with_threads(1);
+        for mode in [ReprMode::Rows, ReprMode::Sparse] {
+            let off = choose_physical(&ctx, &plan, cfg.with_repr(mode));
+            assert_eq!(off.dense_operator_count(), 0, "{mode:?}");
+        }
+        let auto = choose_physical(&ctx, &plan, cfg.with_repr(ReprMode::Auto));
         assert_eq!(
             auto.dense_operator_count(),
             plan.join_count() + plan.group_by_count(),
@@ -429,17 +420,30 @@ mod tests {
         );
         assert_eq!(auto.to_logical(), plan);
 
-        // Sparse data (density 1/16): auto declines, forced mode selects.
+        // Sparse data (density 1/16): auto declines dense, the pinned
+        // mode selects it.
         let sparse = vec![
             mk("r1", Schema::new(vec![a, b]).unwrap(), 4),
             mk("r2", Schema::new(vec![b, c]).unwrap(), 4),
         ];
         let sctx = OptContext::new(&cat, sparse, QuerySpec::group_by([a]), CostModel::Io);
         let splan = optimize(&sctx, Algorithm::CsPlusNonlinear).plan;
-        let sauto = choose_physical(&sctx, &splan, cfg.with_dense(DenseMode::Auto));
-        assert_eq!(sauto.dense_operator_count(), 0, "sparse operands stay hash");
-        let son = choose_physical(&sctx, &splan, cfg.with_dense(DenseMode::On));
-        assert!(son.dense_operator_count() > 0, "forced mode ignores density");
+        let sauto = choose_physical(&sctx, &splan, cfg.with_repr(ReprMode::Auto));
+        assert_eq!(
+            sauto.dense_operator_count(),
+            0,
+            "sparse operands stay off dense"
+        );
+        let son = choose_physical(&sctx, &splan, cfg.with_repr(ReprMode::Dense));
+        assert!(
+            son.dense_operator_count() > 0,
+            "pinned mode ignores density"
+        );
+        assert_eq!(
+            son.sparse_operator_count(),
+            0,
+            "pinned dense never goes sparse"
+        );
     }
 
     #[test]
@@ -465,8 +469,7 @@ mod tests {
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
         let cfg = PhysicalConfig::default()
             .with_threads(1)
-            .with_dense(DenseMode::Auto)
-            .with_repr(ReprMode::Off);
+            .with_repr(ReprMode::Auto);
         let fused = choose_physical(&ctx, &plan, cfg);
         fn count_fused(p: &PhysicalPlan) -> usize {
             match p {
@@ -518,8 +521,7 @@ mod tests {
             &plan,
             PhysicalConfig::default()
                 .with_threads(1)
-                .with_dense(DenseMode::On)
-                .with_repr(ReprMode::Off),
+                .with_repr(ReprMode::Dense),
         );
         assert_eq!(on.dense_operator_count(), 0, "grid never materializes");
     }
@@ -546,8 +548,10 @@ mod tests {
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
         let cfg = PhysicalConfig::default().with_threads(1);
-        let off = choose_physical(&ctx, &plan, cfg.with_repr(ReprMode::Off));
-        assert_eq!(off.sparse_operator_count(), 0);
+        for mode in [ReprMode::Rows, ReprMode::Dense] {
+            let off = choose_physical(&ctx, &plan, cfg.with_repr(mode));
+            assert_eq!(off.sparse_operator_count(), 0, "{mode:?}");
+        }
         let auto = choose_physical(&ctx, &plan, cfg.with_repr(ReprMode::Auto));
         assert_eq!(
             auto.sparse_operator_count(),
@@ -558,7 +562,8 @@ mod tests {
         assert_eq!(auto.dense_operator_count(), 0, "dense auto declines at 9%");
         assert_eq!(auto.to_logical(), plan);
 
-        // Density below the 1% floor: auto declines, forced mode selects.
+        // Density below the 1% floor: auto declines, the pinned mode
+        // selects.
         let mut cat2 = Catalog::new();
         let a2 = cat2.add_var("a", 100).unwrap();
         let b2 = cat2.add_var("b", 100).unwrap();
@@ -574,7 +579,7 @@ mod tests {
         let sforced = choose_physical(&sctx, &splan, cfg.with_repr(ReprMode::Sparse));
         assert!(
             sforced.sparse_operator_count() > 0,
-            "forced mode ignores density"
+            "pinned mode ignores density"
         );
     }
 
@@ -596,7 +601,6 @@ mod tests {
             &plan,
             PhysicalConfig::default()
                 .with_threads(1)
-                .with_dense(DenseMode::Auto)
                 .with_repr(ReprMode::Auto),
         );
         assert!(phys.dense_operator_count() > 0, "complete grids go dense");
@@ -617,14 +621,10 @@ mod tests {
         }];
         let ctx = OptContext::new(&cat, rels, QuerySpec::group_by([a]), CostModel::Io);
         let plan = optimize(&ctx, Algorithm::CsPlusNonlinear).plan;
-        let phys = choose_physical(
-            &ctx,
-            &plan,
-            PhysicalConfig::default()
-                .with_threads(1)
-                .with_dense(DenseMode::On)
-                .with_repr(ReprMode::Auto),
-        );
+        let cfg = PhysicalConfig::default().with_threads(1);
+        let pinned = choose_physical(&ctx, &plan, cfg.with_repr(ReprMode::Dense));
+        assert_eq!(pinned.dense_operator_count(), 0, "grid never fits densely");
+        let phys = choose_physical(&ctx, &plan, cfg.with_repr(ReprMode::Auto));
         assert_eq!(phys.dense_operator_count(), 0, "grid never fits densely");
         assert!(
             phys.sparse_operator_count() > 0,
@@ -644,8 +644,7 @@ mod tests {
             parallel_min_rows: 1_000.0,
             ..PhysicalConfig::default()
         }
-        .with_dense(DenseMode::Off)
-        .with_repr(ReprMode::Off);
+        .with_repr(ReprMode::Rows);
         let seq = choose_physical(&ctx, &plan, cfg.with_threads(1));
         assert_eq!(seq.parallel_operator_count(), 0, "one thread -> no parallel ops");
         let par = choose_physical(&ctx, &plan, cfg.with_threads(4));

@@ -27,13 +27,13 @@
 //! chunked fold is therefore a pure function of the run *length* —
 //! never of thread count, partitioning, or chunk scheduling — so a
 //! given query produces bit-identical answers at any `MPF_THREADS`
-//! setting, under either `MPF_KERNEL` value. Across kernel modes
-//! (`scalar` vs `chunked`) the association order differs, which for the
-//! non-associative floating-point folds (`SumProduct`,
+//! setting. Against a one-value-at-a-time scalar fold (the reference the
+//! kernels are tested against) the association order differs, which for
+//! the non-associative floating-point folds (`SumProduct`,
 //! `LogSumProduct`) may change results within rounding; the min/max
 //! family (`MinSum`, `MaxSum`, `MinProduct`, `MaxProduct`,
 //! `BoolOrAnd`) is insensitive to association, so scalar and chunked
-//! kernels agree exactly there.
+//! folds agree exactly there.
 
 use crate::{logsumexp, SemiringKind};
 

@@ -11,10 +11,11 @@
 //! the CI smoke job scripts. With `--listen HOST:PORT` it accepts
 //! concurrent TCP connections, one session per connection.
 //!
-//! Startup is strict about configuration: malformed `MPF_THREADS` /
-//! `MPF_DENSE` / `MPF_REPR` / `MPF_KERNEL` values (or malformed flags)
-//! print a typed configuration error and exit with status 2 instead of
-//! silently running with defaults.
+//! Startup is strict about configuration: a malformed `MPF_THREADS` or
+//! `MPF_CACHE_BYTES` value (or a malformed flag) prints a typed
+//! configuration error and exits with status 2 instead of silently
+//! running with defaults. Representation choice is not configured here:
+//! the engine picks rows, sparse, or dense per operator by cost.
 
 use std::io::{stdin, stdout, BufReader};
 use std::net::TcpListener;
@@ -108,7 +109,7 @@ fn run() -> Result<(), String> {
     let opts = parse_args(&args)?;
 
     // Strict knob validation: refuse to start on malformed MPF_THREADS /
-    // MPF_DENSE rather than serving with silently different settings.
+    // MPF_CACHE_BYTES rather than serving with silently different settings.
     let db = Database::from_env().map_err(|e| e.to_string())?;
     if opts.demo {
         seed_demo(&db).map_err(|e| format!("demo seed failed: {e}"))?;

@@ -342,9 +342,13 @@ mod tests {
             "SCENARIO shock MEASURE contracts 0,1 9.5 MOVE ctdeals tid 1 2 EVIDENCE wid 3",
         )
         .unwrap();
-        assert_eq!(sc.name(), "shock");
-        assert_eq!(sc.overrides().len(), 2);
-        assert_eq!(sc.evidence_set(), &[("wid".to_string(), 3)]);
+        assert_eq!(
+            sc,
+            Scenario::named("shock")
+                .measure("contracts", vec![0, 1], 9.5)
+                .move_domain("ctdeals", "tid", 1, 2)
+                .evidence("wid", 3)
+        );
 
         for bad in [
             "ROW x=1",

@@ -21,7 +21,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use mpf_algebra::fault;
-use mpf_engine::{Database, DenseMode, EngineError, FallbackPolicy};
+use mpf_engine::{Database, EngineError, FallbackPolicy, ReprMode};
 use mpf_semiring::Combine;
 use mpf_serve::{ServeConfig, Server};
 use mpf_storage::{Catalog, FunctionalRelation, Schema, VarId};
@@ -59,7 +59,7 @@ fn chaos_soak_holds_the_overload_and_isolation_contract() {
     // cache-served answers must honor the same 1:1 accounting.
     let db = Database::new()
         .with_fallback(FallbackPolicy::none())
-        .with_dense(DenseMode::Off)
+        .with_repr(ReprMode::Sparse)
         .with_cache_bytes(16 << 20);
     let a = db.add_var("a", 2).unwrap();
     let b = db.add_var("b", 2).unwrap();

@@ -5,7 +5,7 @@
 
 use mpf::datagen::{SupplyChain, SupplyChainConfig};
 use mpf::engine::{
-    Database, DenseMode, Query, QueryRequest, ReprMode, SpanKind, Strategy, TraceLevel,
+    Database, Query, QueryRequest, ReprMode, SpanKind, Strategy, TraceLevel,
 };
 use mpf::infer::BayesNet;
 use mpf::optimizer::Heuristic;
@@ -43,11 +43,8 @@ fn supply_chain_db() -> Database {
         ctdeals_density: 0.7,
         ..Default::default()
     });
-    // Pinned so the snapshots don't depend on the ambient MPF_DENSE or
-    // MPF_REPR.
-    let db = Database::from_parts(sc.catalog, sc.store)
-        .with_dense(DenseMode::Auto)
-        .with_repr(ReprMode::Auto);
+    // Pinned so the snapshots don't depend on the database default.
+    let db = Database::from_parts(sc.catalog, sc.store).with_repr(ReprMode::Auto);
     db.run_sql(
         "create mpfview invest as (select pid, sid, wid, cid, tid, \
          measure = (* c.price, l.quantity, w.overhead, ct.discount, t.overhead) \
@@ -63,7 +60,6 @@ fn supply_chain_db() -> Database {
 fn sprinkler_db() -> Database {
     let bn = BayesNet::sprinkler();
     let db = Database::from_parts(bn.catalog().clone(), Default::default())
-        .with_dense(DenseMode::Auto)
         .with_repr(ReprMode::Auto);
     for cpt in bn.cpts() {
         db.insert_relation(cpt.clone()).unwrap();
@@ -92,14 +88,14 @@ fn supply_chain_explain_analyze_snapshot() {
 -- estimated cost: 17016.00
 -- rows scanned=4428, processed=12576, peak intermediate=4000, page io=53
 GroupBy (SparseAgg)  (est rows=20.0, rows=20, cells=40, time=_, repr=sparse)
-  ProductJoin (SparseTensor)  (est rows=20.0, rows=20, cells=60, time=_, repr=sparse, kernel=chunked)
-    ProductJoin (SparseTensor)  (est rows=20.0, rows=20, cells=60, time=_, repr=sparse, kernel=chunked)
+  ProductJoin (SparseTensor)  (est rows=20.0, rows=20, cells=60, time=_, repr=sparse)
+    ProductJoin (SparseTensor)  (est rows=20.0, rows=20, cells=60, time=_, repr=sparse)
       JoinAgg (Fused)  (est rows=4.0, rows=4, cells=8, time=_, repr=rows, fused=true)
         Scan transporters  (est rows=2.0, rows=2, cells=4, time=_, repr=rows)
         Scan ctdeals  (est rows=6.0, rows=6, cells=18, time=_, repr=rows)
       Scan warehouses  (est rows=20.0, rows=20, cells=60, time=_, repr=rows)
     GroupBy (SparseAgg)  (est rows=20.0, rows=20, cells=40, time=_, repr=sparse)
-      ProductJoin (SparseTensor)  (est rows=4000.0, rows=4000, cells=16000, time=_, repr=sparse, kernel=chunked)
+      ProductJoin (SparseTensor)  (est rows=4000.0, rows=4000, cells=16000, time=_, repr=sparse)
         Scan contracts  (est rows=400.0, rows=400, cells=1200, time=_, repr=rows)
         Scan location  (est rows=4000.0, rows=4000, cells=12000, time=_, repr=rows)
 ";
@@ -124,8 +120,8 @@ fn bayes_net_explain_analyze_snapshot() {
 JoinAgg (Fused)  (est rows=2.0, rows=2, cells=4, time=_, repr=rows, fused=true)
   Select  (est rows=4.0, rows=4, cells=16, time=_, repr=rows)
     Scan cpt_wet  (est rows=8.0, rows=8, cells=32, time=_, repr=rows)
-  ProductJoin (Dense)  (est rows=8.0, rows=8, cells=32, time=_, repr=dense, kernel=chunked)
-    ProductJoin (Dense)  (est rows=4.0, rows=4, cells=12, time=_, repr=dense, kernel=chunked)
+  ProductJoin (Dense)  (est rows=8.0, rows=8, cells=32, time=_, repr=dense)
+    ProductJoin (Dense)  (est rows=4.0, rows=4, cells=12, time=_, repr=dense)
       Scan cpt_cloudy  (est rows=2.0, rows=2, cells=4, time=_, repr=rows)
       Scan cpt_sprinkler  (est rows=4.0, rows=4, cells=12, time=_, repr=rows)
     Scan cpt_rain  (est rows=4.0, rows=4, cells=12, time=_, repr=rows)
